@@ -30,11 +30,11 @@ Commands:
     ingest-sim — run the streaming-ingest chaos harness (journal,
                 dedup, backpressure, crash-resume) against a synthetic
                 feed and report the delivery-contract verdict;
-                ``--partitions K`` runs the partitioned multi-worker
-                pipeline with per-partition crash/stall/tear faults.
+                ``--partitions K`` sets the worker count and arms
+                per-partition crash/stall/tear faults.
     ingest-compact — archive (or delete) the sealed, cursor-covered
-                segments of an ingest journal directory and report the
-                bytes reclaimed.
+                segments of every partition journal under a journal
+                root and report the bytes reclaimed.
     watch     — live health/SLO/freshness table from a small inline
                 gateway sim, or offline triage of an incident bundle
                 (``--bundle``).
@@ -656,20 +656,30 @@ def _partition_seq(value: str) -> tuple:
 def _command_ingest_compact(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from repro.ingest import IngestJournal
+    from repro.ingest.journal import CURSOR_FILE, IngestJournal
 
-    journal_dir = Path(args.journal)
-    if not journal_dir.is_dir():
+    root = Path(args.journal)
+    journal_dirs = sorted(path for path in root.glob("partition-*")
+                          if path.is_dir())
+    if not journal_dirs and (any(root.glob("segment-*"))
+                             or (root / CURSOR_FILE).exists()):
+        journal_dirs = [root]  # the path *is* a partition directory
+    if not journal_dirs:
         # Opening would create an empty journal in place — an operator
         # pointing compaction at the wrong path must hear about it.
-        print(f"error: no journal at {journal_dir}", file=sys.stderr)
+        print(f"error: no journal at {root} (expected partition-NNNN/ "
+              f"directories or segment files)", file=sys.stderr)
         return 1
-    with IngestJournal(journal_dir) as journal:
-        report = journal.compact(retention=args.retention)
-    print(report.render())
+    totals: dict = {}
+    for journal_dir in journal_dirs:
+        with IngestJournal(journal_dir) as journal:
+            report = journal.compact(retention=args.retention)
+        print(f"{journal_dir.name}: {report.render()}")
+        for key, value in report.as_metrics().items():
+            totals[key] = totals.get(key, 0) + value
     if args.json:
         Path(args.json).write_text(
-            json_module.dumps(report.as_metrics(), indent=2) + "\n",
+            json_module.dumps(totals, indent=2) + "\n",
             encoding="utf-8")
         print(f"wrote {args.json}")
     return 0
@@ -1055,10 +1065,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="checkpoint + cursor commit cadence, "
                                  "in applied batches")
     ingest_sim.add_argument("--partitions", type=int, default=1,
-                            help="run K partitioned ingest workers "
-                                 "with crash-isolated journals "
-                                 "(default: the single-worker "
-                                 "pipeline)")
+                            help="run K partition workers with "
+                                 "crash-isolated journals "
+                                 "(default: 1)")
     ingest_sim.add_argument("--crash-partition", metavar="P:SEQ",
                             type=_partition_seq, action="append",
                             default=None,
@@ -1101,9 +1110,10 @@ def build_parser() -> argparse.ArgumentParser:
         "ingest-compact", help="archive or delete the sealed, cursor-"
                                "covered segments of an ingest journal")
     ingest_compact.add_argument("journal",
-                                help="journal directory (for a "
-                                     "partitioned root, run once per "
-                                     "partition-NNNN directory)")
+                                help="journal root (every "
+                                     "partition-NNNN directory under "
+                                     "it is compacted) or one "
+                                     "partition directory")
     ingest_compact.add_argument("--retention",
                                 choices=("archive", "delete"),
                                 default="archive",

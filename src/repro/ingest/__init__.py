@@ -1,11 +1,14 @@
 """Streaming ingestion: a raw record feed -> right-sized UpdateBatches.
 
 The serving layer (:mod:`repro.serve`) assumes batches arrive from
-somewhere; this package is the somewhere. It turns a continuous,
-unreliable feed of raw article/citation records into validated
-:class:`~repro.engine.updates.UpdateBatch` objects applied to a
-:class:`~repro.engine.live.LiveRanker`, with the delivery contract a
-production index needs:
+somewhere; this package is the somewhere. One pipeline —
+:class:`~repro.ingest.partition.PartitionedIngestPipeline`, K
+journal-and-parse workers behind a deterministic
+:class:`~repro.ingest.partition.FanIn`, a single worker being K=1 —
+turns a continuous, unreliable feed of raw article/citation records
+into validated :class:`~repro.engine.updates.UpdateBatch` objects
+applied to a :class:`~repro.engine.live.LiveRanker`, with the delivery
+contract a production index needs:
 
 * **at-least-once** — every record is journaled
   (:class:`~repro.ingest.journal.IngestJournal`, CRC-stamped JSONL
@@ -18,84 +21,47 @@ production index needs:
   :class:`~repro.ingest.coalescer.Coalescer`'s queue is capped and its
   typed backpressure signals (pause/shed) throttle the pull loop, with
   batch size scaling with engine lag so backlogs drain;
+* **crash-isolated partitions** — each worker (``partition_of``
+  consistent with the serving tier's ``shard_of``) owns a journal
+  directory and committed-offset cursor under
+  ``journal_root/partition-NNNN/``; fan-in order makes the final
+  corpus independent of K, and sealed, cursor-covered segments are
+  reclaimed by :meth:`~repro.ingest.journal.IngestJournal.compact`
+  (``repro ingest-compact``);
 * **verified freshness under chaos** —
   :func:`~repro.ingest.sim.run_ingest_sim` (the ``repro ingest-sim``
   command) injects stalls, transient errors, parser crashes, poison
-  records, duplicate storms, a mid-batch worker kill, and a torn
-  journal tail, then proves zero loss, zero duplicate application, and
-  a final ranking bit-identical to the fault-free single-batch run;
-* **crash-isolated horizontal scale** —
-  :class:`~repro.ingest.partition.PartitionedIngestPipeline` runs K
-  partition workers (``partition_of`` consistent with the serving
-  tier's ``shard_of``), each with its own journal directory and
-  committed-offset cursor, merged back through a deterministic
-  :class:`~repro.ingest.partition.FanIn` so the result stays
-  bit-identical to the single-worker pipeline; sealed, cursor-covered
-  journal segments are reclaimed by
-  :meth:`~repro.ingest.journal.IngestJournal.compact`
-  (``repro ingest-compact``).
+  records, duplicate storms, partition-worker deaths, a mid-batch
+  coordinator kill, and torn journal tails, then proves zero loss,
+  zero duplicate application, and a final ranking bit-identical to the
+  cold single-batch oracle.
 
-See ``docs/OPERATIONS.md`` ("Streaming ingestion" and "Partitioned
-ingestion") for the operational picture: journal layout, offset
-semantics, backpressure knobs, archival retention, and quarantine
-triage.
+See ``docs/OPERATIONS.md`` ("Streaming ingestion") for the operational
+picture: journal layout, offset semantics, backpressure knobs, archival
+retention, and quarantine triage.
 """
 
-from repro.ingest.coalescer import Backpressure, Coalescer
+from repro.ingest.coalescer import Coalescer
 from repro.ingest.dedup import Deduplicator
-from repro.ingest.journal import (
-    CompactionReport,
-    IngestJournal,
-    JournalRecord,
-)
+from repro.ingest.journal import IngestJournal
 from repro.ingest.partition import (
     FanIn,
     PartitionedIngestPipeline,
-    PartitionedIngestReport,
-    PartitionStats,
-    PartitionWorker,
     partition_of,
     partition_route,
 )
-from repro.ingest.pipeline import (
-    AdmissionTiers,
-    IngestPipeline,
-    IngestReport,
-)
-from repro.ingest.sim import (
-    IngestSimReport,
-    fault_free_reference,
-    run_ingest_sim,
-)
-from repro.ingest.source import (
-    JsonlSource,
-    ParsedItem,
-    SyntheticSource,
-    parse_record,
-    route_key,
-)
+from repro.ingest.sim import fault_free_reference, run_ingest_sim
+from repro.ingest.source import JsonlSource, SyntheticSource, route_key
 
 __all__ = [
-    "AdmissionTiers",
-    "Backpressure",
     "Coalescer",
-    "CompactionReport",
     "Deduplicator",
     "FanIn",
     "IngestJournal",
-    "IngestPipeline",
-    "IngestReport",
-    "IngestSimReport",
-    "JournalRecord",
     "JsonlSource",
-    "ParsedItem",
-    "PartitionStats",
-    "PartitionWorker",
     "PartitionedIngestPipeline",
-    "PartitionedIngestReport",
     "SyntheticSource",
     "fault_free_reference",
-    "parse_record",
     "partition_of",
     "partition_route",
     "route_key",

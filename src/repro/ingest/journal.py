@@ -82,8 +82,8 @@ class JournalRecord:
     """One journaled record: its offset, payload, and arrival seq.
 
     ``seq`` is the global arrival sequence the record carried when it
-    was appended (``None`` for single-worker journals, which never need
-    one — there, offset *is* the arrival order).
+    was appended (``None`` for journals written before seq stamping;
+    with one partition, offset *is* the arrival order).
     """
 
     offset: int

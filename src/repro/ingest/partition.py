@@ -1,47 +1,63 @@
-"""Partitioned multi-worker ingestion with deterministic fan-in.
+"""The fault-tolerant streaming ingest pipeline.
 
-The single-worker :class:`~repro.ingest.pipeline.IngestPipeline` made
-the streaming contract hold — journal-first at-least-once delivery,
-three-tier exactly-once admission, bit-identical final rankings under
-chaos. This module scales the *fault domain*: K partition workers, each
-owning
+One sequential router in front of K crash-isolated partition workers,
+then one shared tail. Each stage owns one failure mode:
 
-* a partition of the record id space —
-  :func:`partition_of`, the same modulo rule as
-  :func:`repro.serve.shard.shard_of`, so ingest partitions and serving
-  shards slice the corpus identically;
-* an independent :class:`~repro.ingest.journal.IngestJournal` directory
-  (``<root>/partition-0000/`` …) with its own segments, torn-tail
-  recovery, archive tier, and
-* an independent committed-offset cursor.
+1. **Pull + route** — the router fetches the next record from a
+   seekable source, retrying transient
+   :class:`~repro.errors.SourceError` under a
+   :class:`~repro.resilience.RetryPolicy` (injected stalls/errors come
+   from the :class:`~repro.resilience.FaultPlan`). Pull order is the
+   global arrival sequence; :func:`partition_of` — the same modulo rule
+   as :func:`repro.serve.shard.shard_of`, so ingest partitions and
+   serving shards slice the corpus identically — picks the worker.
+2. **Journal** — the :class:`PartitionWorker` appends the raw payload
+   to its own :class:`~repro.ingest.journal.IngestJournal`
+   (``<root>/partition-NNNN/``: own segments, torn-tail recovery,
+   archive tier, committed-offset cursor) *before* anything else sees
+   it. Journal-first is the at-least-once guarantee: a record that made
+   it past this stage can always be replayed. The arrival sequence
+   rides in the journal record (outside the CRC'd payload) so a
+   replayed record re-enters fan-in under its original position.
+3. **Parse** — :func:`~repro.ingest.source.parse_record` with a bounded
+   crash-retry budget; poison records go to the
+   :class:`~repro.data.quarantine.ParseReport` after ``parse_attempts``
+   injected crashes and travel on as *tombstone* envelopes, so the
+   partition's cursor advances past poison instead of wedging on it.
+4. **Fan-in + admission** — :class:`FanIn` releases envelopes in the
+   canonical order ``(arrival_seq, partition, offset)`` into the shared
+   :class:`~repro.ingest.pipeline.AdmissionTiers` (one corpus, one
+   coalescer window, one dedup LRU). First admission therefore happens
+   in pull order for every K, fingerprints are payload-only, and every
+   crash-recovery re-delivery is absorbed as a duplicate — so the final
+   corpus, and hence the final ranking, is the same bit for bit
+   whatever K is.
+5. **Coalesce** — admitted items queue in the bounded
+   :class:`~repro.ingest.coalescer.Coalescer`; typed backpressure
+   (PAUSE/SHED) makes the router drain batches instead of pulling, so
+   memory stays bounded by ``max_queue`` no matter how far the engine
+   lags.
+6. **Apply + commit** — batches go through
+   :func:`~repro.engine.updates.validate_update_batch` into the
+   :class:`~repro.engine.live.LiveRanker` (or a serving ``sink``);
+   every ``checkpoint_batches`` applied batches the ranker writes a
+   rotation and *only then* each partition's cursor advances — to the
+   oldest of its offsets still queued in the coalescer (tracked by a
+   FIFO mirror of the queue), or to everything it has handled when
+   none are queued.
 
 A crash, stall, or torn tail in one partition is recovered *in
 isolation* — its journal reopens, its cursor drives its replay, its
 worker incarnation bumps — while the other partitions' journals and
 cursors are untouched and keep draining.
 
-**Why the result is still bit-identical to the single-worker pipeline.**
-One sequential router pulls the global feed (so every record gets a
-global arrival sequence number, exactly the single-worker pull order),
-routes each payload to its partition worker (journal-first, then parse),
-and a :class:`FanIn` stage releases the resulting envelopes in the
-canonical order ``(arrival_seq, partition, offset)`` into the *shared*
-admission path (:class:`~repro.ingest.pipeline.AdmissionTiers`: one
-corpus, one coalescer window, one dedup LRU). First admission therefore
-happens in exactly the order the single-worker pipeline would have used,
-fingerprints are payload-only, and every crash-recovery re-delivery is
-absorbed as a duplicate — so the final corpus, and hence the final
-rankings, match bit for bit. The arrival sequence rides in the journal
-record (outside the CRC'd payload) so a replayed record re-enters
-fan-in under its original position.
-
-**Per-partition commit coverage.** Partition p's cursor advances to the
-oldest of its offsets still queued in the coalescer (tracked by a FIFO
-mirror of the queue), or to everything it has handled when none are
-queued — the same barrier rule as the single-worker pipeline, applied
-per journal. Quarantined and poison records produce *tombstone*
-envelopes so a partition's cursor advances past poison instead of
-wedging on it.
+Crash-resume of the whole pipeline:
+:meth:`PartitionedIngestPipeline.resume` rebuilds the live ranker from
+its newest intact rotation and replays every partition journal. A
+partition whose cursor is newer than the recovered rotation (the newest
+rotation was torn) replays from offset 0 — always safe, because
+admission is idempotent — and its cursor holds until coverage catches
+back up.
 """
 
 from __future__ import annotations
@@ -49,7 +65,7 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (TYPE_CHECKING, Callable, Deque, Dict, List,
                     Optional, Tuple, Union)
@@ -59,7 +75,8 @@ from repro.engine.live import LiveRanker
 from repro.engine.updates import validate_update_batch
 from repro.ingest.coalescer import Backpressure, Coalescer
 from repro.ingest.dedup import Deduplicator
-from repro.ingest.journal import IngestJournal
+from repro.ingest.journal import (ARCHIVE_DIR, ARCHIVE_FILE, CURSOR_FILE,
+                                  IngestJournal)
 from repro.ingest.pipeline import (
     DEFAULT_RETRY,
     VISIBLE_LATENCY_BUCKETS,
@@ -67,10 +84,12 @@ from repro.ingest.pipeline import (
     VISIBLE_LATENCY_METRIC,
     AdmissionTiers,
     IngestReport,
+    PartitionStats,
     observe_served_freshness,
 )
 from repro.ingest.source import ParsedItem, parse_record, route_key
-from repro.resilience.faults import FaultPlan, InjectedCrash
+from repro.resilience.faults import (FaultPlan, InjectedCrash,
+                                     tear_active_segment)
 from repro.resilience.policy import RetryPolicy
 from repro.serve.shard import shard_of
 
@@ -164,49 +183,6 @@ class FanIn:
         return released
 
 
-@dataclass
-class PartitionStats:
-    """Per-partition slice of a partitioned run's report."""
-
-    partition: int
-    records_journaled: int = 0
-    records_replayed: int = 0
-    worker_crashes: int = 0
-    torn_records_dropped: int = 0
-    committed_offset: int = 0
-    segments_archived: int = 0
-    segments_reclaimed_bytes: int = 0
-
-    def as_metrics(self) -> Dict[str, object]:
-        return {
-            "records_journaled": self.records_journaled,
-            "records_replayed": self.records_replayed,
-            "worker_crashes": self.worker_crashes,
-            "torn_records_dropped": self.torn_records_dropped,
-            "committed_offset": self.committed_offset,
-            "segments_archived": self.segments_archived,
-            "segments_reclaimed_bytes": self.segments_reclaimed_bytes,
-        }
-
-
-@dataclass
-class PartitionedIngestReport(IngestReport):
-    """An :class:`IngestReport` plus the per-partition breakdown."""
-
-    num_partitions: int = 1
-    worker_crashes: int = 0
-    partitions: List[PartitionStats] = field(default_factory=list)
-
-    def as_metrics(self) -> Dict[str, object]:
-        metrics = super().as_metrics()
-        metrics["num_partitions"] = self.num_partitions
-        metrics["worker_crashes"] = self.worker_crashes
-        for stats in self.partitions:
-            for key, value in stats.as_metrics().items():
-                metrics[f"p{stats.partition}_{key}"] = value
-        return metrics
-
-
 class PartitionWorker:
     """One partition's journal-and-parse stage.
 
@@ -219,19 +195,19 @@ class PartitionWorker:
     same plan does not die again on the same record.
     """
 
-    def __init__(self, partition: int, directory: PathLike, *,
+    def __init__(self, partition: int, num_partitions: int,
+                 directory: PathLike, *,
                  segment_records: int = 1024, parse_attempts: int = 2,
                  fault_plan: Optional[FaultPlan] = None,
-                 obs: Optional["Observability"] = None,
                  quarantine: Callable[[Exception, int], None],
                  on_parse_crash: Callable[[], None],
                  stats: Optional[PartitionStats] = None) -> None:
         self.partition = partition
+        self.num_partitions = num_partitions
         self.directory = Path(directory)
         self.segment_records = segment_records
         self.parse_attempts = parse_attempts
         self.fault_plan = fault_plan
-        self.obs = obs
         self.stats = stats if stats is not None \
             else PartitionStats(partition)
         self._quarantine = quarantine
@@ -242,6 +218,16 @@ class PartitionWorker:
         self.stats.torn_records_dropped = \
             self.journal.torn_records_dropped
         self.replay_from: Optional[int] = None
+
+    @property
+    def last_seq(self) -> int:
+        """Highest arrival seq the journal retained; -1 when empty."""
+        last = self.journal.last_seq
+        if last is None and self.num_partitions == 1:
+            # Unstamped records: the local offset is the seq (see
+            # :meth:`replay`).
+            return self.journal.next_offset - 1
+        return -1 if last is None else last
 
     def accept(self, seq: int, payload: Dict[str, object]) -> Envelope:
         """Journal-then-parse one routed record.
@@ -272,12 +258,22 @@ class PartitionWorker:
         the coordinator flagged the cursor untrustworthy via
         ``replay_from``). Each envelope carries the arrival seq stamped
         into the journal line, so fan-in replays it at its original
-        global position; a record journaled before seq stamping existed
-        falls back to its local offset, which is only sound at K=1.
+        global position. An unstamped record falls back to its local
+        offset, which equals its arrival seq only when this is the sole
+        partition; with siblings it would mis-order fan-in, so that is
+        an error.
         """
         envelopes: List[Envelope] = []
         for record in self.journal.replay(self.replay_from):
-            seq = record.seq if record.seq is not None else record.offset
+            seq = record.seq
+            if seq is None:
+                if self.num_partitions > 1:
+                    raise IngestError(
+                        f"partition {self.partition} journal record "
+                        f"{record.offset} carries no arrival seq; an "
+                        f"unstamped journal can only be opened with "
+                        f"num_partitions=1")
+                seq = record.offset
             envelopes.append(Envelope(
                 seq=seq, partition=self.partition, offset=record.offset,
                 item=self._parse(seq, record.offset, record.payload),
@@ -304,10 +300,9 @@ class PartitionWorker:
                payload: Dict[str, object]) -> Optional[ParsedItem]:
         """Parse with the crash-retry budget; ``None`` → tombstone.
 
-        Faults and quarantine locations are keyed by the *global* seq —
-        the same key the single-worker pipeline uses for the same
-        record — so one fault plan drives both pipelines identically.
-        The parsed item also carries the global seq as its offset:
+        Faults and quarantine locations are keyed by the *global* seq,
+        so one fault plan hits the same records whatever K is. The
+        parsed item also carries the global seq as its offset:
         admission, provenance, and freshness all see global positions,
         while the journal keeps the local offset.
         """
@@ -346,11 +341,33 @@ class PartitionedIngestPipeline:
                  wall_clock: Callable[[], float] = time.time) -> None:
         """Wire K workers to the shared tail of the pipeline.
 
-        Knobs mirror :class:`~repro.ingest.pipeline.IngestPipeline`
-        one-for-one (they configure the shared stages); the additions
-        are ``num_partitions``, ``journal_root`` (each partition
-        journals under ``journal_root/partition-NNNN/``), and
-        ``segment_records`` for the per-partition journals.
+        Each partition journals under ``journal_root/partition-NNNN/``
+        in segments of ``segment_records`` records.
+
+        ``checkpoint_batches`` sets the durability cadence: a rotation
+        plus cursor commits every N applied batches (the ranker must
+        have a ``checkpoint_dir``; without one the pipeline still runs,
+        it just never advances the cursors — resume then replays the
+        whole journal, which idempotent admission makes safe, merely
+        slow). ``incarnation`` counts resumes; ``"crash"`` ingest
+        faults are keyed by it so a resumed pipeline holding the same
+        plan does not crash again.
+
+        ``sink`` optionally routes cut batches through a serving tier —
+        any object with ``ingest(batch) -> IngestReport`` wrapping the
+        *same* ``live`` ranker (a
+        :class:`~repro.serve.service.RankingService` or
+        :class:`~repro.serve.gateway.ShardedGateway`). Admission still
+        checks ``live.dataset``, which the sink mutates through the
+        shared ranker, so dedup stays authoritative. ``wall_clock`` is
+        the arrival/served stamp source (injectable for deterministic
+        freshness tests).
+
+        ``compaction`` (``"archive"`` or ``"delete"``) runs
+        :meth:`~repro.ingest.journal.IngestJournal.compact` on every
+        partition journal after each successful commit, reclaiming
+        sealed segments the cursor now covers — the knob that keeps a
+        long-running journal bounded.
         """
         if num_partitions < 1:
             raise IngestError(
@@ -369,6 +386,13 @@ class PartitionedIngestPipeline:
         self.live = live
         self.source = source
         self.journal_root = Path(journal_root)
+        if any(self.journal_root.glob("segment-*")):
+            raise IngestError(
+                f"{self.journal_root} holds journal segments directly; "
+                f"journals live under partition-NNNN/. Move it with: "
+                f"cd {self.journal_root} && mkdir partition-0000 && mv "
+                f"segment-* {CURSOR_FILE} {ARCHIVE_FILE} {ARCHIVE_DIR} "
+                f"partition-0000/")
         self.num_partitions = num_partitions
         self.dedup = dedup if dedup is not None else Deduplicator()
         self.coalescer = coalescer if coalescer is not None \
@@ -383,8 +407,7 @@ class PartitionedIngestPipeline:
         self.sink = sink
         self.compaction = compaction
         self.wall_clock = wall_clock
-        self.report = PartitionedIngestReport(
-            num_partitions=num_partitions)
+        self.report = IngestReport(num_partitions=num_partitions)
         self.admission = AdmissionTiers(live, self.coalescer,
                                         self.dedup, self.report, obs,
                                         self._quarantine)
@@ -393,11 +416,11 @@ class PartitionedIngestPipeline:
             stats = PartitionStats(partition)
             self.report.partitions.append(stats)
             self.workers.append(PartitionWorker(
-                partition,
+                partition, num_partitions,
                 self.journal_root / f"partition-{partition:04d}",
                 segment_records=segment_records,
                 parse_attempts=parse_attempts, fault_plan=fault_plan,
-                obs=obs, quarantine=self._quarantine,
+                quarantine=self._quarantine,
                 on_parse_crash=self._count_parse_crash, stats=stats))
         self.report.torn_records_dropped = sum(
             w.stats.torn_records_dropped for w in self.workers)
@@ -423,8 +446,10 @@ class PartitionedIngestPipeline:
         The ranker resumes from its newest intact rotation; every
         partition journal reopens (dropping torn tails) and replays
         from its own cursor. A partition whose cursor recorded a batch
-        count newer than the recovered rotation replays from offset 0 —
-        per partition, exactly the single-worker rule.
+        count *newer* than the recovered rotation — the rotation
+        covering the commit was lost — cannot trust its committed
+        offset and replays from offset 0 instead; idempotent admission
+        turns the extra replay into skips, never double applies.
         """
         live = LiveRanker.resume(checkpoint_dir, obs=obs)
         pipeline = cls(live, source, journal_root, num_partitions,
@@ -440,9 +465,15 @@ class PartitionedIngestPipeline:
     # ------------------------------------------------------------------
     # the run loop
 
-    def run(self, max_records: Optional[int] = None
-            ) -> PartitionedIngestReport:
-        """Replay every partition's journal tail, then drain the feed."""
+    def run(self, max_records: Optional[int] = None) -> IngestReport:
+        """Replay every partition's journal tail, then drain the feed.
+
+        Returns when the source is exhausted (or ``max_records`` new
+        records have been pulled) and every queued item has been
+        applied and committed. An :class:`InjectedCrash` from a
+        scripted ``"crash"`` ingest fault escapes deliberately — that
+        *is* the simulated coordinator death.
+        """
         from repro.obs.handle import maybe_span
 
         with maybe_span(self.obs, "ingest.run",
@@ -450,6 +481,8 @@ class PartitionedIngestPipeline:
                         partitions=self.num_partitions):
             resume_at = self._replay_all()
             self._drain_source(resume_at, max_records)
+            # Drain-down: the feed is done, flush every queued item in
+            # lag-sized batches regardless of min_batch.
             while len(self.coalescer):
                 self._apply_one_batch()
             self._commit(force=True)
@@ -478,18 +511,13 @@ class PartitionedIngestPipeline:
         """
         from repro.obs.handle import maybe_span
 
-        resume_at = 0
         with maybe_span(self.obs, "ingest.replay",
                         partitions=self.num_partitions):
-            floor = None
             for worker in self.workers:
                 for envelope in worker.replay():
                     self.fan_in.deliver(envelope)
                     self.fan_in.advance(envelope.seq)
-                last = worker.journal.last_seq
-                mine = -1 if last is None else last
-                floor = mine if floor is None else min(floor, mine)
-            resume_at = (floor if floor is not None else -1) + 1
+            resume_at = min(w.last_seq for w in self.workers) + 1
             self._release(self.fan_in.drain())
         if self.obs is not None and self.report.records_replayed:
             self.obs.metrics.counter(
@@ -573,8 +601,7 @@ class PartitionedIngestPipeline:
                 self.fan_in.deliver(worker.accept(seq, payload))
                 return
             except InjectedCrash:
-                retained = self._recover_worker(partition, seq)
-                if retained is not None and retained >= seq:
+                if self._recover_worker(partition, seq) >= seq:
                     # The journal kept the record through the crash;
                     # its replay envelope is already in fan-in.
                     return
@@ -582,13 +609,12 @@ class PartitionedIngestPipeline:
                 # incarnation (the crash fault is keyed by incarnation,
                 # so it lets the retry through).
 
-    def _recover_worker(self, partition: int,
-                        seq: int) -> Optional[int]:
+    def _recover_worker(self, partition: int, seq: int) -> int:
         """Crash-isolate one partition: tear, reopen, replay.
 
         Everything here touches partition ``partition`` only. Returns
-        the highest arrival seq the reopened journal retained (``None``
-        for an empty journal) so the router can decide whether the
+        the highest arrival seq the reopened journal retained (-1 for
+        an empty journal) so the router can decide whether the
         in-flight record needs re-delivery.
         """
         worker = self.workers[partition]
@@ -606,7 +632,7 @@ class PartitionedIngestPipeline:
             tear = self.fault_plan.partition_tear_for(
                 partition, worker.incarnation)
             if tear is not None:
-                _tear_active_segment(worker.directory, tear)
+                tear_active_segment(worker.directory, tear)
         torn_before = worker.stats.torn_records_dropped
         worker.recover()
         self.report.torn_records_dropped += \
@@ -617,7 +643,7 @@ class PartitionedIngestPipeline:
         # in-flight record, which releases when the router advances
         # past it) — release them now, in canonical order.
         self._release(self.fan_in.drain())
-        return worker.journal.last_seq
+        return worker.last_seq
 
     # ------------------------------------------------------------------
     # stage 2+3: fan-in release into the shared admission path
@@ -682,12 +708,16 @@ class PartitionedIngestPipeline:
         cut_from = [self._pending.popleft()
                     for _ in range(len(arrivals))]
         if self.obs is not None and batch.provenance is not None:
+            # Stamp the trace id so downstream layers (snapshot
+            # publish, shard refresh) can tie their spans back to this
+            # ingest run without a side-channel.
             batch = replace(batch, provenance=replace(
                 batch.provenance, trace_id=self.obs.tracer.trace_id))
         if self.fault_plan is not None:
-            # The coordinator-level mid-batch death (same fault family
-            # as the single-worker pipeline): items are cut, not yet
-            # applied, and only the partition journals bring them back.
+            # Fires *after* the cut, *before* the apply: the classic
+            # mid-batch death — items are out of the queue, not yet in
+            # the engine, and only the partition journals can bring
+            # them back.
             self.fault_plan.fire_ingest_crash(
                 self.live.batches_applied, self.incarnation)
         outcome = None
@@ -696,6 +726,8 @@ class PartitionedIngestPipeline:
                         citations=len(batch.citations),
                         last_offset=last_offset):
             if self.sink is not None:
+                # The serving tier validates, applies (to the shared
+                # ranker) and publishes; its guardrails own rejection.
                 outcome = self.sink.ingest(batch)
             else:
                 validate_update_batch(batch, self.live.dataset)
@@ -749,9 +781,11 @@ class PartitionedIngestPipeline:
     def _commit(self, force: bool = False) -> None:
         """One ranker checkpoint, then every partition cursor.
 
-        The ordering invariant is unchanged — cursors name only
-        offsets inside a durable rotation; it now holds per partition,
-        with each cursor stopping at its own oldest-queued barrier.
+        Ordering is the invariant: a cursor names only offsets whose
+        effects are inside a durable rotation. Each partition's
+        coverage stops at its oldest still-queued item — those records
+        are handled but not yet applied, so they must replay after a
+        crash.
         """
         from repro.obs.handle import maybe_span
 
@@ -782,6 +816,7 @@ class PartitionedIngestPipeline:
         self._maybe_compact()
 
     def _maybe_compact(self) -> None:
+        """Reclaim cursor-covered segments when compaction is on."""
         if self.compaction is None:
             return
         for worker in self.workers:
@@ -834,13 +869,3 @@ class PartitionedIngestPipeline:
         for worker in self.workers:
             committed.set(worker.journal.committed,
                           partition=str(worker.partition))
-
-
-def _tear_active_segment(directory: Path, tear_bytes: int) -> None:
-    """Chop ``tear_bytes`` off the partition's active segment — the
-    unsynced tail a simulated power loss takes with it."""
-    for path in sorted(directory.glob("*.open")):
-        size = path.stat().st_size
-        with open(path, "rb+") as handle:
-            handle.truncate(max(0, size - tear_bytes))
-        return

@@ -1,72 +1,44 @@
-"""The fault-tolerant streaming ingest pipeline.
+"""The stages every partition shares: report, admission, freshness.
 
-One worker, five stages, each owning one failure mode:
+The ingest pipeline (:class:`~repro.ingest.partition.
+PartitionedIngestPipeline`) runs K journal-and-parse workers in front
+of one shared tail. This module holds that tail's vocabulary:
 
-1. **Pull** — fetch the next record from a seekable source, retrying
-   transient :class:`~repro.errors.SourceError` under a
-   :class:`~repro.resilience.RetryPolicy` (injected stalls/errors come
-   from the :class:`~repro.resilience.FaultPlan`).
-2. **Journal** — append the raw payload to the
-   :class:`~repro.ingest.journal.IngestJournal` *before* anything else
-   sees it. Journal-first is the at-least-once guarantee: a record that
-   made it past this stage can always be replayed.
-3. **Parse + dedup** — :func:`~repro.ingest.source.parse_record` with a
-   bounded crash-retry budget (poison records go to the
-   :class:`~repro.data.quarantine.ParseReport` after ``parse_attempts``
-   injected crashes); then idempotent admission — the authoritative
-   dataset check first, the bounded
-   :class:`~repro.ingest.dedup.Deduplicator` for the in-flight window.
-4. **Coalesce** — admitted items queue in the bounded
-   :class:`~repro.ingest.coalescer.Coalescer`; typed backpressure
-   (PAUSE/SHED) makes the pipeline drain batches instead of pulling,
-   so memory stays bounded by ``max_queue`` no matter how far the
-   engine lags.
-5. **Apply + commit** — batches go through
-   :func:`~repro.engine.updates.validate_update_batch` into the
-   :class:`~repro.engine.live.LiveRanker`; every
-   ``checkpoint_batches`` applied batches the ranker writes a rotation
-   and *only then* the journal cursor advances. Exactly-once
-   application falls out: replayed records that already reached the
-   dataset are skipped by stage 3.
-
-Crash-resume: :meth:`IngestPipeline.resume` rebuilds the live ranker
-from its newest intact rotation and replays the journal. If the
-recovered rotation is older than the cursor (the newest rotation was
-torn), replay restarts from offset 0 — always safe, because admission
-is idempotent — and the cursor holds until coverage catches back up.
+* :class:`IngestReport` / :class:`PartitionStats` — everything one run
+  (or resumed run) did, overall and per partition;
+* :class:`AdmissionTiers` — idempotent admission: the authoritative
+  corpus check first, then the coalescer's queued window, then the
+  bounded :class:`~repro.ingest.dedup.Deduplicator`. Exactly-once
+  application falls out: replayed records that already reached the
+  dataset are skipped here;
+* :func:`observe_served_freshness` — wall-clock arrival→visible
+  seconds, staged by how far a batch actually travelled;
+* the retry and histogram constants the run loop uses.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Union
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.errors import IngestError, ParseError, SourceError
+from repro.errors import IngestError
 from repro.data.quarantine import ParseReport
 from repro.engine.live import LiveRanker
-from repro.engine.updates import validate_update_batch
-from repro.ingest.coalescer import Backpressure, Coalescer
+from repro.ingest.coalescer import Coalescer
 from repro.ingest.dedup import CONFLICT, DUPLICATE, Deduplicator
-from repro.ingest.journal import IngestJournal
-from repro.ingest.source import ParsedItem, parse_record
-from repro.resilience.faults import FaultPlan, InjectedCrash
+from repro.ingest.source import ParsedItem
 from repro.resilience.policy import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.handle import Observability
-
-PathLike = Union[str, Path]
 
 #: Pipeline-tuned retry defaults: feeds hiccup often and briefly, so
 #: back off fast and give up after a few attempts.
 DEFAULT_RETRY = RetryPolicy(max_retries=3, base_delay=0.01,
                             max_delay=0.25, jitter=0.0)
 
-#: The record-clock arrival→visible histogram both pipelines observe;
-#: one definition so the get-or-create registry never sees mismatched
-#: buckets.
+#: The record-clock arrival→visible histogram; the per-partition
+#: freshness histogram shares its buckets.
 VISIBLE_LATENCY_METRIC = "repro_ingest_visible_latency_records"
 VISIBLE_LATENCY_HELP = ("Records pulled between a record's arrival and "
                         "the batch apply that made it visible.")
@@ -74,8 +46,35 @@ VISIBLE_LATENCY_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 
 @dataclass
+class PartitionStats:
+    """One partition's slice of an :class:`IngestReport`."""
+
+    partition: int
+    records_journaled: int = 0
+    records_replayed: int = 0
+    worker_crashes: int = 0
+    torn_records_dropped: int = 0
+    committed_offset: int = 0
+    segments_archived: int = 0
+    segments_reclaimed_bytes: int = 0
+
+    def as_metrics(self) -> Dict[str, object]:
+        return {
+            "records_journaled": self.records_journaled,
+            "records_replayed": self.records_replayed,
+            "worker_crashes": self.worker_crashes,
+            "torn_records_dropped": self.torn_records_dropped,
+            "committed_offset": self.committed_offset,
+            "segments_archived": self.segments_archived,
+            "segments_reclaimed_bytes": self.segments_reclaimed_bytes,
+        }
+
+
+@dataclass
 class IngestReport:
     """Everything one pipeline run (or resumed run) did."""
+
+    num_partitions: int = 1
 
     records_pulled: int = 0
     records_replayed: int = 0
@@ -100,6 +99,8 @@ class IngestReport:
     freshness_max_records: int = 0
     freshness_sum_records: int = 0
     freshness_samples: int = 0
+    worker_crashes: int = 0
+    partitions: List[PartitionStats] = field(default_factory=list)
     parse_report: ParseReport = field(default_factory=ParseReport)
 
     @property
@@ -114,7 +115,7 @@ class IngestReport:
 
     def as_metrics(self) -> Dict[str, object]:
         """Flat numeric dict for RunReports and baselines."""
-        return {
+        metrics = {
             "records_pulled": self.records_pulled,
             "records_replayed": self.records_replayed,
             "articles_applied": self.articles_applied,
@@ -133,13 +134,19 @@ class IngestReport:
             "segments_reclaimed_bytes": self.segments_reclaimed_bytes,
             "freshness_max_records": self.freshness_max_records,
             "freshness_mean_records": self.freshness_mean_records,
+            "num_partitions": self.num_partitions,
+            "worker_crashes": self.worker_crashes,
         }
+        for stats in self.partitions:
+            for key, value in stats.as_metrics().items():
+                metrics[f"p{stats.partition}_{key}"] = value
+        return metrics
 
 
 def observe_served_freshness(obs: "Observability", batch, outcome,
                              has_sink: bool, now_wall: float) -> None:
     """Wall-clock arrival→visible seconds, staged by how far the batch
-    actually travelled. Shared by both pipelines.
+    actually travelled.
 
     ``stage="applied"`` for the sink-less path (visible to direct
     readers of the ranker); ``stage="served"`` when a serving sink
@@ -169,9 +176,7 @@ def observe_served_freshness(obs: "Observability", batch, outcome,
 
 
 class AdmissionTiers:
-    """The three-tier exactly-once admission path, shared by the
-    single-worker :class:`IngestPipeline` and the partitioned pipeline
-    in :mod:`repro.ingest.partition`.
+    """The three-tier exactly-once admission path.
 
     Tier order is the contract: the authoritative corpus first (a
     record already applied is skipped no matter what the windows
@@ -279,415 +284,3 @@ class AdmissionTiers:
         self.coalescer.offer(item, arrived_at=arrived_at,
                              arrived_wall=arrived_wall)
         return True
-
-
-class IngestPipeline:
-    """Single-worker streaming ingestion over a :class:`LiveRanker`."""
-
-    def __init__(self, live: LiveRanker, source, journal: IngestJournal,
-                 *, dedup: Optional[Deduplicator] = None,
-                 coalescer: Optional[Coalescer] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 parse_attempts: int = 2, checkpoint_batches: int = 1,
-                 fault_plan: Optional[FaultPlan] = None,
-                 incarnation: int = 0,
-                 obs: Optional["Observability"] = None,
-                 sink=None,
-                 compaction: Optional[str] = None,
-                 wall_clock: Callable[[], float] = time.time) -> None:
-        """Wire the stages together.
-
-        ``checkpoint_batches`` sets the durability cadence: a rotation
-        plus cursor commit every N applied batches (the ranker must
-        have a ``checkpoint_dir``; without one the pipeline still runs,
-        it just never advances the cursor — resume then replays the
-        whole journal, which idempotent admission makes safe, merely
-        slow). ``incarnation`` counts resumes; ``"crash"`` ingest
-        faults are keyed by it so a resumed pipeline holding the same
-        plan does not crash again.
-
-        ``sink`` optionally routes cut batches through a serving tier —
-        any object with ``ingest(batch) -> IngestReport`` wrapping the
-        *same* ``live`` ranker (a
-        :class:`~repro.serve.service.RankingService` or
-        :class:`~repro.serve.gateway.ShardedGateway`). Admission still
-        checks ``live.dataset``, which the sink mutates through the
-        shared ranker, so dedup stays authoritative. ``wall_clock`` is
-        the arrival/served stamp source (injectable for deterministic
-        freshness tests).
-
-        ``compaction`` (``"archive"`` or ``"delete"``) runs
-        :meth:`~repro.ingest.journal.IngestJournal.compact` after every
-        successful commit, reclaiming sealed segments the cursor now
-        covers — the knob that keeps a long-running journal bounded.
-        """
-        if parse_attempts < 1:
-            raise IngestError(
-                f"parse_attempts must be >= 1, got {parse_attempts}")
-        if checkpoint_batches < 1:
-            raise IngestError(
-                f"checkpoint_batches must be >= 1, got "
-                f"{checkpoint_batches}")
-        if compaction not in (None, "archive", "delete"):
-            raise IngestError(
-                f"compaction must be None, 'archive' or 'delete', "
-                f"got {compaction!r}")
-        self.live = live
-        self.source = source
-        self.journal = journal
-        self.dedup = dedup if dedup is not None else Deduplicator()
-        self.coalescer = coalescer if coalescer is not None \
-            else Coalescer()
-        self.retry_policy = retry_policy if retry_policy is not None \
-            else DEFAULT_RETRY
-        self.parse_attempts = parse_attempts
-        self.checkpoint_batches = checkpoint_batches
-        self.fault_plan = fault_plan
-        self.incarnation = incarnation
-        self.obs = obs
-        self.sink = sink
-        self.compaction = compaction
-        self.wall_clock = wall_clock
-        self.report = IngestReport(
-            torn_records_dropped=journal.torn_records_dropped)
-        self.admission = AdmissionTiers(live, self.coalescer,
-                                        self.dedup, self.report, obs,
-                                        self._quarantine)
-        self._handled_through = 0  # offsets < this are fully handled
-        self._batches_since_checkpoint = 0
-        self._durable = live.checkpoint_dir is not None
-        self._replay_from: Optional[int] = None
-
-    # ------------------------------------------------------------------
-    # construction from a crash
-
-    @classmethod
-    def resume(cls, checkpoint_dir: PathLike, journal_dir: PathLike,
-               source, *, incarnation: int = 1,
-               obs: Optional["Observability"] = None,
-               segment_records: int = 1024,
-               **kwargs) -> "IngestPipeline":
-        """Rebuild the pipeline after a crash.
-
-        The ranker resumes from its newest intact rotation; the journal
-        reopens (dropping any torn tail). If the cursor recorded a
-        batch count *newer* than the recovered rotation — the rotation
-        covering the commit was lost — the committed offset cannot be
-        trusted and the run replays from offset 0 instead; idempotent
-        admission turns the extra replay into skips, never double
-        applies.
-        """
-        live = LiveRanker.resume(checkpoint_dir, obs=obs)
-        journal = IngestJournal(journal_dir,
-                                segment_records=segment_records)
-        pipeline = cls(live, source, journal, incarnation=incarnation,
-                       obs=obs, **kwargs)
-        cursor_batches = journal.cursor_extra.get("batches_applied")
-        if isinstance(cursor_batches, int) \
-                and live.batches_applied < cursor_batches:
-            pipeline._replay_from = 0
-        return pipeline
-
-    # ------------------------------------------------------------------
-    # the run loop
-
-    def run(self, max_records: Optional[int] = None) -> IngestReport:
-        """Replay the journal tail, then drain the source.
-
-        Returns when the source is exhausted (or ``max_records`` new
-        records have been pulled) and every queued item has been
-        applied and committed. An :class:`InjectedCrash` from a
-        scripted ``"crash"`` ingest fault escapes deliberately — that
-        *is* the simulated worker death.
-        """
-        from repro.obs.handle import maybe_span
-
-        with maybe_span(self.obs, "ingest.run",
-                        incarnation=self.incarnation):
-            self._replay_journal()
-            self._drain_source(max_records)
-            # Drain-down: the feed is done, flush every queued item in
-            # lag-sized batches regardless of min_batch.
-            while len(self.coalescer):
-                self._apply_one_batch()
-            self._commit(force=True)
-        self.report.peak_queue = self.coalescer.peak
-        self.report.committed_offset = self.journal.committed
-        self._export_gauges()
-        return self.report
-
-    # ------------------------------------------------------------------
-    # stage 0: journal replay (resume path)
-
-    def _replay_journal(self) -> None:
-        from repro.obs.handle import maybe_span
-
-        start = self._replay_from  # None -> journal's committed offset
-        with maybe_span(self.obs, "ingest.replay"):
-            for record in self.journal.replay(start):
-                self._admit(record.offset, record.payload,
-                            replayed=True)
-                self._handle_pressure()
-        if self.obs is not None and self.report.records_replayed:
-            self.obs.metrics.counter(
-                "repro_ingest_records_total",
-                "Feed records entering the pipeline, by path.",
-                labels=("path",)).inc(self.report.records_replayed,
-                                      path="replayed")
-
-    # ------------------------------------------------------------------
-    # stage 1: pull
-
-    def _drain_source(self, max_records: Optional[int]) -> None:
-        position = self.journal.next_offset
-        pulled = 0
-        while max_records is None or pulled < max_records:
-            self._handle_pressure()
-            payload = self._pull(position)
-            if payload is None:
-                break
-            self.journal.append(payload)
-            # Flush per record: an injected mid-batch crash abandons
-            # this journal object, and nothing it acknowledged may sit
-            # in a userspace buffer when the resume path reopens the
-            # directory.
-            self.journal.flush()
-            self.report.records_pulled += 1
-            if self.obs is not None:
-                self.obs.metrics.counter(
-                    "repro_ingest_records_total",
-                    "Feed records entering the pipeline, by path.",
-                    labels=("path",)).inc(path="pulled")
-            self._admit(position, payload)
-            position += 1
-            pulled += 1
-            if self.coalescer.ready():
-                self._apply_one_batch()
-
-    def _pull(self, position: int) -> Optional[Dict[str, object]]:
-        """Fetch one record, absorbing transient source failures."""
-        delays = self.retry_policy.delays()
-        attempt = 0
-        while True:
-            try:
-                if self.fault_plan is not None:
-                    self.fault_plan.fire_source_fault(position, attempt)
-                return self.source.get(position)
-            except SourceError as exc:
-                self.report.source_retries += 1
-                if self.obs is not None:
-                    self.obs.metrics.counter(
-                        "repro_ingest_retries_total",
-                        "Transient-failure retries, by stage.",
-                        labels=("stage",)).inc(stage="source")
-                if delays.exhausted:
-                    raise IngestError(
-                        f"source failed {attempt + 1} time(s) at "
-                        f"position {position}: {exc}") from exc
-                time.sleep(delays.next_delay())
-                attempt += 1
-
-    # ------------------------------------------------------------------
-    # stage 2+3: parse, dedup, admit
-
-    def _parse(self, offset: int,
-               payload: Dict[str, object]) -> Optional[ParsedItem]:
-        """Parse with a crash-retry budget; ``None`` when quarantined."""
-        attempt = 0
-        while True:
-            try:
-                if self.fault_plan is not None:
-                    self.fault_plan.fire_parse_crash(offset, attempt)
-                return parse_record(payload, offset)
-            except ParseError as exc:
-                # Data poison: deterministic, retrying cannot help.
-                self._quarantine(exc, offset)
-                return None
-            except InjectedCrash as exc:
-                self.report.parse_crashes += 1
-                if self.obs is not None:
-                    self.obs.metrics.counter(
-                        "repro_ingest_retries_total",
-                        "Transient-failure retries, by stage.",
-                        labels=("stage",)).inc(stage="parse")
-                attempt += 1
-                if attempt >= self.parse_attempts:
-                    # Crashed every attempt: treat as poison.
-                    self._quarantine(exc, offset)
-                    return None
-
-    def _quarantine(self, error: Exception, offset: int) -> None:
-        self.report.parse_report.record_error(
-            error, location=f"record {offset}")
-        if self.obs is not None:
-            self.obs.metrics.counter(
-                "repro_ingest_quarantined_total",
-                "Feed records routed to quarantine.").inc()
-            self.obs.event("ingest.quarantine", offset=offset,
-                           error=f"{type(error).__name__}: {error}")
-
-    def _admit(self, offset: int, payload: Dict[str, object],
-               replayed: bool = False) -> None:
-        """Parse one journaled record and admit it if it is new."""
-        if replayed:
-            self.report.records_replayed += 1
-        item = self._parse(offset, payload)
-        if item is not None:
-            self.admission.admit(item,
-                                 arrived_at=self._arrival_stamp(),
-                                 arrived_wall=self.wall_clock())
-        self._handled_through = offset + 1
-
-    def _arrival_stamp(self) -> float:
-        """Arrival index in records — the deterministic freshness clock."""
-        return float(self.report.records_pulled
-                     + self.report.records_replayed)
-
-    # ------------------------------------------------------------------
-    # stage 4+5: coalesce, apply, commit
-
-    def _handle_pressure(self) -> None:
-        while True:
-            signal = self.coalescer.pressure()
-            if signal is Backpressure.OK:
-                return
-            self.report.backpressure_pauses += 1
-            if self.obs is not None:
-                self.obs.metrics.counter(
-                    "repro_ingest_backpressure_total",
-                    "Backpressure signals acted on, by kind.",
-                    labels=("signal",)).inc(signal=signal.value)
-            self._apply_one_batch()
-
-    def _apply_one_batch(self) -> None:
-        from repro.obs.handle import maybe_span
-
-        batch, last_offset, arrivals = self.coalescer.cut()
-        if self.obs is not None and batch.provenance is not None:
-            # Stamp the trace id so downstream layers (snapshot
-            # publish, shard refresh) can tie their spans back to this
-            # ingest run without a side-channel.
-            batch = replace(batch, provenance=replace(
-                batch.provenance, trace_id=self.obs.tracer.trace_id))
-        if self.fault_plan is not None:
-            # Fires *after* the cut, *before* the apply: the classic
-            # mid-batch death — items are out of the queue, not yet in
-            # the engine, and only the journal can bring them back.
-            self.fault_plan.fire_ingest_crash(
-                self.live.batches_applied, self.incarnation)
-        outcome = None
-        with maybe_span(self.obs, "ingest.batch",
-                        articles=batch.num_articles,
-                        citations=len(batch.citations),
-                        last_offset=last_offset):
-            if self.sink is not None:
-                # The serving tier validates, applies (to the shared
-                # ranker) and publishes; its guardrails own rejection.
-                outcome = self.sink.ingest(batch)
-            else:
-                validate_update_batch(batch, self.live.dataset)
-                self.live.apply(batch)
-        self.report.batches_applied += 1
-        self.report.articles_applied += batch.num_articles
-        self.report.citations_applied += len(batch.citations)
-        now = self._arrival_stamp()
-        for arrived_at in arrivals:
-            lag = int(now - arrived_at)
-            self.report.freshness_samples += 1
-            self.report.freshness_sum_records += lag
-            self.report.freshness_max_records = max(
-                self.report.freshness_max_records, lag)
-        if self.obs is not None:
-            self.obs.metrics.counter(
-                "repro_ingest_batches_total",
-                "Update batches applied by the ingest pipeline.").inc()
-            hist = self.obs.metrics.histogram(
-                VISIBLE_LATENCY_METRIC, VISIBLE_LATENCY_HELP,
-                buckets=VISIBLE_LATENCY_BUCKETS)
-            for arrived_at in arrivals:
-                hist.observe(now - arrived_at)
-            self._observe_freshness(batch, outcome)
-        self._batches_since_checkpoint += 1
-        if self._durable and (self._batches_since_checkpoint
-                              >= self.checkpoint_batches):
-            self._commit()
-
-    def _observe_freshness(self, batch, outcome) -> None:
-        observe_served_freshness(self.obs, batch, outcome,
-                                 has_sink=self.sink is not None,
-                                 now_wall=self.wall_clock())
-
-    def _commit(self, force: bool = False) -> None:
-        """Checkpoint the ranker, then advance the journal cursor.
-
-        Ordering is the invariant: the cursor names only offsets whose
-        effects are inside a durable rotation. Coverage stops at the
-        oldest still-queued item — those records are handled but not
-        yet applied, so they must replay after a crash.
-        """
-        from repro.obs.handle import maybe_span
-
-        if not self._durable:
-            return
-        if not force and self._batches_since_checkpoint == 0:
-            return
-        oldest = self.coalescer.oldest_offset
-        coverage = oldest if oldest is not None else \
-            self._handled_through
-        if self._batches_since_checkpoint == 0 \
-                and coverage <= self.journal.committed:
-            return  # nothing new to make durable
-        with maybe_span(self.obs, "ingest.commit", coverage=coverage):
-            self.live.checkpoint()
-            if coverage > self.journal.committed:
-                self.journal.commit(coverage, extra={
-                    "batches_applied": self.live.batches_applied,
-                    "incarnation": self.incarnation,
-                })
-        self._batches_since_checkpoint = 0
-        if self.obs is not None:
-            self.obs.metrics.counter(
-                "repro_ingest_commits_total",
-                "Checkpoint-plus-cursor commits.").inc()
-        self._maybe_compact()
-
-    def _maybe_compact(self) -> None:
-        """Reclaim cursor-covered segments when compaction is on."""
-        if self.compaction is None:
-            return
-        compaction = self.journal.compact(retention=self.compaction)
-        reclaimed = (compaction.segments_archived
-                     + compaction.segments_deleted)
-        if not reclaimed:
-            return
-        self.report.segments_archived += reclaimed
-        self.report.segments_reclaimed_bytes += \
-            compaction.bytes_reclaimed
-        if self.obs is not None:
-            from repro.obs.metrics import (
-                SEGMENTS_ARCHIVED_HELP, SEGMENTS_ARCHIVED_METRIC,
-                SEGMENTS_RECLAIMED_HELP, SEGMENTS_RECLAIMED_METRIC)
-
-            self.obs.metrics.counter(
-                SEGMENTS_ARCHIVED_METRIC,
-                SEGMENTS_ARCHIVED_HELP).inc(reclaimed)
-            self.obs.metrics.counter(
-                SEGMENTS_RECLAIMED_METRIC,
-                SEGMENTS_RECLAIMED_HELP).inc(
-                compaction.bytes_reclaimed)
-
-    # ------------------------------------------------------------------
-
-    def _export_gauges(self) -> None:
-        if self.obs is None:
-            return
-        metrics = self.obs.metrics
-        metrics.gauge("repro_ingest_queue_depth",
-                      "Items in the coalescer queue.").set(
-            len(self.coalescer))
-        metrics.gauge("repro_ingest_queue_peak",
-                      "Peak coalescer occupancy this run.").set(
-            self.coalescer.peak)
-        metrics.gauge("repro_ingest_committed_offset",
-                      "Journal offset durably committed.").set(
-            self.journal.committed)

@@ -1,25 +1,20 @@
 """Chaos harness for the streaming ingest pipeline.
 
-:func:`run_ingest_sim` runs the same synthetic feed twice:
+:func:`run_ingest_sim` grades one synthetic feed two ways:
 
-* **Chaos run** — through the full pipeline (journal, dedup,
-  backpressure, checkpoints) with every requested fault armed: source
-  stalls and transient errors, parser crashes (retryable and poison),
-  duplicate storms and mangled records baked into the feed, a hard
-  mid-batch worker crash with journal-driven resume, and optionally a
-  torn journal tail before that resume. With ``partitions > 1`` the
-  chaos run goes through
-  :class:`~repro.ingest.partition.PartitionedIngestPipeline` instead,
-  and the fault vocabulary grows per-partition stalls, scripted
-  partition-worker crashes (several at the same arrival seq =
-  simultaneous deaths), and per-partition torn tails.
-* **Reference run** — the same feed, fault-free. At ``partitions == 1``
-  it is collapsed into one
-  :class:`~repro.engine.updates.UpdateBatch` applied in a single step;
-  at ``partitions > 1`` it is a fault-free *single-worker*
-  :class:`~repro.ingest.pipeline.IngestPipeline` pass over the same
-  source, so the partitioned claim is graded against exactly the
-  pipeline it must be indistinguishable from.
+* **Chaos run** — through the full
+  :class:`~repro.ingest.partition.PartitionedIngestPipeline` (K
+  partition journals, dedup, backpressure, checkpoints) with every
+  requested fault armed: source stalls and transient errors, parser
+  crashes (retryable and poison), duplicate storms and mangled records
+  baked into the feed, per-partition stalls, scripted partition-worker
+  crashes (several at the same arrival seq = simultaneous deaths) with
+  torn tails, a hard mid-batch coordinator crash with journal-driven
+  resume, and optionally a torn journal tail before that resume.
+* **Cold oracle** — :func:`fault_free_reference` collapses the same
+  feed, fault-free and with no pipeline code in the way, into one
+  :class:`~repro.engine.updates.UpdateBatch` applied in a single step.
+  Every K is graded against this one oracle.
 
 It then *proves* the delivery contract by comparing outcomes:
 
@@ -54,13 +49,13 @@ from repro.data.schema import ScholarlyDataset
 from repro.engine.live import LiveRanker
 from repro.engine.updates import UpdateBatch, apply_update
 from repro.ingest.coalescer import Coalescer
-from repro.ingest.journal import IngestJournal
 from repro.ingest.partition import PartitionedIngestPipeline
-from repro.ingest.pipeline import IngestPipeline, IngestReport
+from repro.ingest.pipeline import IngestReport
 from repro.ingest.source import SyntheticSource, parse_record
 from repro.obs.metrics import (FRESHNESS_BUCKETS, FRESHNESS_HELP,
                                FRESHNESS_METRIC)
-from repro.resilience.faults import FaultPlan, InjectedCrash
+from repro.resilience.faults import (FaultPlan, InjectedCrash,
+                                     tear_active_segment)
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.handle import Observability
@@ -233,14 +228,14 @@ def run_ingest_sim(dataset: Optional[ScholarlyDataset] = None, *,
     ``fail_record`` arms one transient source error (absorbed by
     retry); ``flaky_record`` one retryable parser crash;
     ``poison_record`` a parser crash on *every* attempt (the record
-    must end up quarantined); ``crash_batch`` a hard worker death
+    must end up quarantined); ``crash_batch`` a hard coordinator death
     applying that batch ordinal, followed by a journal resume —
-    with ``truncate_journal`` the journal's active tail additionally
+    with ``truncate_journal`` partition 0's active tail additionally
     loses its last line first (a torn write the recovery scan must
     absorb).
 
-    ``partitions > 1`` switches the chaos run to the partitioned
-    pipeline. ``crash_partitions`` is a list of ``(partition, seq)``
+    ``partitions`` is the pipeline's K (1 = a single worker).
+    ``crash_partitions`` is a list of ``(partition, seq)``
     pairs, each killing that partition's worker right after it
     journals the record with global arrival seq ``seq`` (two pairs at
     the same seq = simultaneous deaths); ``tear_partitions`` lists
@@ -302,30 +297,21 @@ def run_ingest_sim(dataset: Optional[ScholarlyDataset] = None, *,
             recorder=FlightRecorder(bundle_dir=bundle_dir))
     recorder = getattr(obs, "recorder", None)
 
-    def fresh_coalescer() -> Coalescer:
-        return Coalescer(max_queue=max_queue, min_batch=min_batch,
-                         max_batch=max_batch)
+    def knobs() -> Dict[str, object]:
+        return dict(
+            coalescer=Coalescer(max_queue=max_queue,
+                                min_batch=min_batch,
+                                max_batch=max_batch),
+            parse_attempts=parse_attempts,
+            checkpoint_batches=checkpoint_batches,
+            segment_records=segment_records, fault_plan=plan,
+            obs=obs, compaction=compaction)
 
     sim = IngestSimReport()
     try:
-        live = LiveRanker(dataset, checkpoint_dir=checkpoint_dir)
-        if partitions > 1:
-            pipeline = PartitionedIngestPipeline(
-                live, source, journal_dir, partitions,
-                coalescer=fresh_coalescer(),
-                parse_attempts=parse_attempts,
-                checkpoint_batches=checkpoint_batches,
-                segment_records=segment_records,
-                fault_plan=plan, obs=obs, compaction=compaction)
-        else:
-            journal = IngestJournal(journal_dir,
-                                    segment_records=segment_records)
-            pipeline = IngestPipeline(
-                live, source, journal,
-                coalescer=fresh_coalescer(),
-                parse_attempts=parse_attempts,
-                checkpoint_batches=checkpoint_batches,
-                fault_plan=plan, obs=obs, compaction=compaction)
+        pipeline = PartitionedIngestPipeline(
+            LiveRanker(dataset, checkpoint_dir=checkpoint_dir),
+            source, journal_dir, partitions, **knobs())
         try:
             sim.pipeline = pipeline.run()
             final = pipeline
@@ -334,84 +320,34 @@ def run_ingest_sim(dataset: Optional[ScholarlyDataset] = None, *,
             if recorder is not None:
                 recorder.capture("ingest.crash")
             pipeline.report.peak_queue = pipeline.coalescer.peak
+            pipeline.report.committed_offset = sum(
+                w.journal.committed for w in pipeline.workers)
             sim.pipeline = pipeline.report
-            spare_parts = dict(
-                coalescer=fresh_coalescer(),
-                parse_attempts=parse_attempts,
-                checkpoint_batches=checkpoint_batches,
-                segment_records=segment_records,
-                fault_plan=plan, compaction=compaction)
-            if partitions > 1:
-                pipeline.report.committed_offset = sum(
-                    w.journal.committed for w in pipeline.workers)
-                for worker in pipeline.workers:
-                    worker.journal.close()
-                if truncate_journal:
-                    _tear_journal_tail(journal_dir / "partition-0000")
-                try:
-                    resumed = PartitionedIngestPipeline.resume(
-                        checkpoint_dir, journal_dir, source,
-                        partitions,
-                        incarnation=pipeline.incarnation + 1, obs=obs,
-                        **spare_parts)
-                except StorageError:
-                    resumed = PartitionedIngestPipeline(
-                        LiveRanker(dataset,
-                                   checkpoint_dir=checkpoint_dir),
-                        source, journal_dir, partitions,
-                        incarnation=pipeline.incarnation + 1, obs=obs,
-                        **spare_parts)
-            else:
-                pipeline.report.committed_offset = journal.committed
-                pipeline.journal.close()
-                if truncate_journal:
-                    _tear_journal_tail(journal_dir)
-                spare_parts.pop("segment_records")
-                try:
-                    resumed = IngestPipeline.resume(
-                        checkpoint_dir, journal_dir, source,
-                        incarnation=pipeline.incarnation + 1, obs=obs,
-                        segment_records=segment_records, **spare_parts)
-                except StorageError:
-                    # Crashed before the first checkpoint ever landed:
-                    # re-bootstrap from the base corpus; the journal
-                    # replays from offset 0 (idempotent, so still
-                    # safe).
-                    resumed = IngestPipeline(
-                        LiveRanker(dataset,
-                                   checkpoint_dir=checkpoint_dir),
-                        source,
-                        IngestJournal(journal_dir,
-                                      segment_records=segment_records),
-                        incarnation=pipeline.incarnation + 1, obs=obs,
-                        **spare_parts)
+            for worker in pipeline.workers:
+                worker.journal.close()
+            if truncate_journal:
+                tear_active_segment(pipeline.workers[0].directory)
+            incarnation = pipeline.incarnation + 1
+            try:
+                resumed = PartitionedIngestPipeline.resume(
+                    checkpoint_dir, journal_dir, source, partitions,
+                    incarnation=incarnation, **knobs())
+            except StorageError:
+                # Crashed before the first checkpoint ever landed:
+                # re-bootstrap from the base corpus; the journals
+                # replay from offset 0 (idempotent, so still safe).
+                resumed = PartitionedIngestPipeline(
+                    LiveRanker(dataset, checkpoint_dir=checkpoint_dir),
+                    source, journal_dir, partitions,
+                    incarnation=incarnation, **knobs())
             sim.resume_pipeline = resumed.run()
             sim.resumed = True
             final = resumed
 
         poisoned = frozenset([poison_record]) \
             if poison_record is not None else frozenset()
-        if partitions > 1:
-            # Grade against the pipeline the partitioned one must be
-            # indistinguishable from: a fault-free single-worker pass
-            # over the same source (poison mirrored, so quarantine
-            # consequences resolve identically in both runs).
-            ref_plan = FaultPlan(seed=seed)
-            if poison_record is not None:
-                ref_plan.crash_parser(poison_record,
-                                      times=parse_attempts + 8)
-            ref_live = LiveRanker(dataset)
-            ref_pipeline = IngestPipeline(
-                ref_live, source,
-                IngestJournal(workdir / "reference-journal"),
-                coalescer=fresh_coalescer(),
-                parse_attempts=parse_attempts, fault_plan=ref_plan)
-            ref_pipeline.run()
-            ref_pipeline.journal.close()
-            reference_dataset = ref_live.dataset
-        else:
-            reference = fault_free_reference(source, dataset, poisoned)
-            reference_dataset = apply_update(dataset, reference)
+        reference_dataset = apply_update(
+            dataset, fault_free_reference(source, dataset, poisoned))
         chaos_dataset = final.live.dataset
 
         expected_new = len(reference_dataset.articles) \
@@ -435,7 +371,10 @@ def run_ingest_sim(dataset: Optional[ScholarlyDataset] = None, *,
         runs = [run for run in (sim.pipeline, sim.resume_pipeline)
                 if run is not None]
         sim.metrics = {
+            "partitions": partitions,
             "records_total": len(source),
+            "records_replayed": sum(r.records_replayed for r in runs),
+            "worker_crashes": sum(r.worker_crashes for r in runs),
             "records_lost": lost,
             "duplicates_applied": duplicated,
             "bit_identical": identical,
@@ -472,18 +411,12 @@ def run_ingest_sim(dataset: Optional[ScholarlyDataset] = None, *,
             if served_n else 0.0
         sim.metrics["incident_bundles"] = \
             len(recorder.captures) if recorder is not None else 0
-        if partitions > 1:
-            sim.metrics["partitions"] = partitions
-            sim.metrics["worker_crashes"] = sum(
-                getattr(r, "worker_crashes", 0) for r in runs)
-            sim.metrics["records_replayed"] = sum(
-                r.records_replayed for r in runs)
-            for stats in last.partitions:
-                prefix = f"p{stats.partition}"
-                sim.metrics[f"{prefix}_committed_offset"] = \
-                    stats.committed_offset
-                sim.metrics[f"{prefix}_worker_crashes"] = \
-                    stats.worker_crashes
+        for stats in last.partitions:
+            prefix = f"p{stats.partition}"
+            sim.metrics[f"{prefix}_committed_offset"] = \
+                stats.committed_offset
+            sim.metrics[f"{prefix}_worker_crashes"] = \
+                stats.worker_crashes
     except Exception as exc:  # noqa: BLE001 - the report must survive
         sim.status = "failed"
         sim.error = f"{type(exc).__name__}: {exc}"
@@ -491,15 +424,3 @@ def run_ingest_sim(dataset: Optional[ScholarlyDataset] = None, *,
         if owns_workdir:
             shutil.rmtree(workdir, ignore_errors=True)
     return sim
-
-
-def _tear_journal_tail(journal_dir: Path) -> None:
-    """Chop the last bytes off the active segment (a torn write)."""
-    open_segments = sorted(journal_dir.glob("segment-*.open"))
-    if not open_segments:
-        return
-    tail = open_segments[-1]
-    size = tail.stat().st_size
-    if size > 8:
-        with open(tail, "rb+") as handle:
-            handle.truncate(size - 8)

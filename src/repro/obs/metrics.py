@@ -44,9 +44,9 @@ FRESHNESS_METRIC = "repro_freshness_served_seconds"
 FRESHNESS_HELP = ("Wall-clock seconds from record arrival to the "
                   "apply/publish/refresh that made it visible, by stage.")
 
-#: Label naming an ingest partition on per-partition instruments. The
-#: single-worker pipeline is partition "0" of 1, so dashboards written
-#: against the label work unchanged at K=1.
+#: Label naming an ingest partition on per-partition instruments. A
+#: single worker is partition "0" of 1, so dashboards written against
+#: the label work unchanged at K=1.
 PARTITION_LABEL = "partition"
 
 #: Per-partition arrival→visible freshness, in *records* (deterministic

@@ -27,6 +27,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 
@@ -477,3 +478,12 @@ class FaultPlan:
     def truncation_for(self, name: str) -> Optional[int]:
         """Bytes to keep of ``name`` post-save, or None."""
         return self.file_truncations.get(name)
+
+
+def tear_active_segment(directory, tear_bytes: int = 8) -> None:
+    """Chop ``tear_bytes`` off a journal directory's active segment —
+    the unsynced tail a simulated power loss takes with it."""
+    for path in Path(directory).glob("segment-*.open"):
+        size = path.stat().st_size
+        with open(path, "rb+") as handle:
+            handle.truncate(max(0, size - tear_bytes))

@@ -6,7 +6,8 @@ import shutil
 import pytest
 
 from repro.errors import StorageError
-from repro.ingest import IngestJournal, IngestPipeline, SyntheticSource
+from repro.ingest import (IngestJournal, PartitionedIngestPipeline,
+                          SyntheticSource)
 from repro.ingest.coalescer import Coalescer
 from repro.ingest.journal import ARCHIVE_DIR, ARCHIVE_FILE
 from repro.data.generator import GeneratorConfig, generate_dataset
@@ -215,21 +216,21 @@ class TestPipelineResumeFromCompactedJournal:
                                  seed=5, cite_every=6)
         live = LiveRanker(archive_dataset,
                           checkpoint_dir=tmp_path / "ckpt")
-        pipeline = IngestPipeline(
-            live, source,
-            IngestJournal(tmp_path / "journal", segment_records=8),
+        pipeline = PartitionedIngestPipeline(
+            live, source, tmp_path / "journal", 1, segment_records=8,
             coalescer=Coalescer(max_queue=48, min_batch=8,
                                 max_batch=16),
             compaction="archive")
         report = pipeline.run()
         assert report.segments_archived > 0
-        pipeline.journal.close()
+        journal = pipeline.workers[0].journal
+        journal.close()
         # Delete the archive tier entirely: a resume replays from the
         # committed cursor, above archived_through, and must succeed
         # without ever opening an archived file.
-        shutil.rmtree(tmp_path / "journal" / ARCHIVE_DIR)
-        resumed = IngestPipeline.resume(
-            tmp_path / "ckpt", tmp_path / "journal", source,
+        shutil.rmtree(journal.directory / ARCHIVE_DIR)
+        resumed = PartitionedIngestPipeline.resume(
+            tmp_path / "ckpt", tmp_path / "journal", source, 1,
             segment_records=8,
             coalescer=Coalescer(max_queue=48, min_batch=8,
                                 max_batch=16))
@@ -249,9 +250,8 @@ class TestPipelineResumeFromCompactedJournal:
                                  seed=6)
         live = LiveRanker(archive_dataset,
                           checkpoint_dir=tmp_path / "ckpt")
-        pipeline = IngestPipeline(
-            live, source,
-            IngestJournal(tmp_path / "journal", segment_records=8),
+        pipeline = PartitionedIngestPipeline(
+            live, source, tmp_path / "journal", 1, segment_records=8,
             coalescer=Coalescer(max_queue=48, min_batch=8,
                                 max_batch=16),
             compaction="delete", obs=obs)

@@ -158,7 +158,7 @@ class TestPartitionedChaos:
                                                    tmp_path):
         # The coordinator itself dies mid-run (on top of a worker
         # tear): resume picks up all K journals and finishes with the
-        # same corpus the single-worker pipeline would produce.
+        # same corpus the cold oracle produces.
         sim = run_ingest_sim(
             chaos_dataset, records=80, seed=13,
             duplicate_every=7, partitions=3, crash_batch=1,
@@ -241,6 +241,35 @@ class TestCli:
         assert payload["segments_archived"] == 2
         assert payload["bytes_reclaimed"] > 0
 
+    def test_ingest_compact_on_a_journal_root(self, tmp_path, capsys):
+        from repro.ingest import IngestJournal
+
+        root = tmp_path / "journal"
+        for partition in range(2):
+            with IngestJournal(root / f"partition-{partition:04d}",
+                               segment_records=4) as journal:
+                for offset in range(10):
+                    journal.append({"kind": "article", "id": offset,
+                                    "year": 2020, "refs": []})
+                journal.commit(8)
+        json_path = tmp_path / "compact.json"
+        assert main(["ingest-compact", str(root),
+                     "--json", str(json_path)]) == 0
+        out = capsys.readouterr().out
+        assert "partition-0000: archived 2 segment(s)" in out
+        assert "partition-0001: archived 2 segment(s)" in out
+        payload = json.loads(json_path.read_text(encoding="utf-8"))
+        assert payload["segments_archived"] == 4
+        # Nothing but the partition directories lives in the root.
+        assert sorted(path.name for path in root.iterdir()) == \
+            ["partition-0000", "partition-0001"]
+
     def test_ingest_compact_on_missing_journal_fails(self, tmp_path):
         assert main(["ingest-compact",
                      str(tmp_path / "nope" / "journal")]) == 1
+
+    def test_ingest_compact_on_a_journal_free_directory_fails(
+            self, tmp_path, capsys):
+        assert main(["ingest-compact", str(tmp_path)]) == 1
+        assert "no journal at" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -5,16 +5,18 @@ import pytest
 from repro.core.model import ArticleRanker, RankerConfig
 from repro.data.generator import GeneratorConfig, generate_dataset
 from repro.engine.live import LiveRanker
+from repro.engine.updates import apply_update
 from repro.errors import IngestError
 from repro.ingest import (
     Coalescer,
     IngestJournal,
-    IngestPipeline,
     PartitionedIngestPipeline,
     SyntheticSource,
+    fault_free_reference,
     partition_of,
     partition_route,
     route_key,
+    run_ingest_sim,
 )
 from repro.ingest.partition import Envelope, FanIn
 from repro.ingest.sim import datasets_equal
@@ -47,12 +49,17 @@ def run_partitioned(dataset, source, root, num_partitions,
     return pipeline, pipeline.run()
 
 
-def run_single(dataset, source, root):
-    live = LiveRanker(dataset, checkpoint_dir=root / "ckpt")
-    pipeline = IngestPipeline(
-        live, source, IngestJournal(root / "journal"),
-        coalescer=Coalescer(max_queue=48, min_batch=8, max_batch=32))
-    return pipeline, pipeline.run()
+def cold_oracle(dataset, source):
+    """The corpus one fault-free batch of the whole feed produces."""
+    return apply_update(dataset, fault_free_reference(source, dataset))
+
+
+def shared_metrics(report):
+    """``as_metrics()`` minus the keys that name K or one partition."""
+    per_partition = tuple(f"p{i}_" for i in range(report.num_partitions))
+    return {key: value for key, value in report.as_metrics().items()
+            if key != "num_partitions"
+            and not key.startswith(per_partition)}
 
 
 class TestRouting:
@@ -126,23 +133,24 @@ class TestFanIn:
 
 
 class TestBitIdentical:
-    @pytest.mark.parametrize("num_partitions", [2, 3, 5])
+    @pytest.mark.parametrize("num_partitions", [1, 2, 3, 4, 5])
     def test_matches_single_worker_pipeline(self, base_dataset,
                                             tmp_path,
                                             num_partitions):
         source = chaos_source(base_dataset)
-        single_pipeline, single_report = run_single(
-            base_dataset, source, tmp_path / "single")
+        oracle = cold_oracle(base_dataset, source)
         partitioned, report = run_partitioned(
             base_dataset, source, tmp_path / "multi", num_partitions)
-        # Same corpus, same exact ranking, same batch cadence.
-        assert datasets_equal(partitioned.live.dataset,
-                              single_pipeline.live.dataset)
+        # Same corpus and same exact ranking as the cold batch...
+        assert datasets_equal(partitioned.live.dataset, oracle)
         config = RankerConfig()
         assert ArticleRanker(config).rank(
             partitioned.live.dataset).by_id() == ArticleRanker(
-            config).rank(single_pipeline.live.dataset).by_id()
-        assert report.batches_applied == single_report.batches_applied
+            config).rank(oracle).by_id()
+        # ...and every counter K does not name equals the K=1 run's.
+        _, single_report = run_partitioned(
+            base_dataset, source, tmp_path / "single", 1)
+        assert shared_metrics(report) == shared_metrics(single_report)
 
     def test_every_record_journaled_in_its_home_partition(
             self, base_dataset, tmp_path):
@@ -196,10 +204,8 @@ class TestCrashIsolation:
             base_dataset, source, tmp_path / "multi", 4,
             fault_plan=plan)
         assert report.worker_crashes == 2
-        single_pipeline, _ = run_single(base_dataset, source,
-                                        tmp_path / "single")
         assert datasets_equal(partitioned.live.dataset,
-                              single_pipeline.live.dataset)
+                              cold_oracle(base_dataset, source))
 
     def test_stalled_partition_does_not_block_others(self,
                                                      base_dataset,
@@ -259,6 +265,58 @@ class TestResumeAndCursors:
         resumed.run()
         assert datasets_equal(first.live.dataset,
                               resumed.live.dataset)
+
+
+class TestJournalLayout:
+    def fill_unstamped(self, directory, records=6):
+        with IngestJournal(directory) as journal:
+            for position in range(records):
+                journal.append({"kind": "article", "id": 9000 + position,
+                                "year": 2020, "refs": []})
+
+    def test_flat_journal_root_is_refused_with_the_fix(
+            self, base_dataset, tmp_path):
+        self.fill_unstamped(tmp_path / "journal")
+        with pytest.raises(IngestError, match="mkdir partition-0000"):
+            PartitionedIngestPipeline(
+                LiveRanker(base_dataset), None, tmp_path / "journal", 1)
+        assert not (tmp_path / "journal" / "partition-0000").exists()
+
+    def test_unstamped_journal_replays_by_offset_at_k1(
+            self, base_dataset, tmp_path):
+        # A flat journal moved under partition-0000/: its records carry
+        # no arrival seq, and at K=1 the local offset *is* the seq.
+        self.fill_unstamped(tmp_path / "journal" / "partition-0000")
+        source = SyntheticSource(sorted(base_dataset.articles), 10,
+                                 seed=1)
+        pipeline, report = run_partitioned(base_dataset, source,
+                                           tmp_path, 1)
+        # The six journaled records replay; the feed resumes after them.
+        assert report.records_replayed == 6
+        assert report.records_pulled == 4
+        assert report.articles_applied == 10
+        assert 9005 in pipeline.live.dataset.articles
+
+    def test_unstamped_journal_is_an_error_past_k1(
+            self, base_dataset, tmp_path):
+        self.fill_unstamped(tmp_path / "journal" / "partition-0000")
+        source = chaos_source(base_dataset, records=0)
+        with pytest.raises(IngestError, match="no arrival seq"):
+            run_partitioned(base_dataset, source, tmp_path, 2)
+
+
+class TestSimAgainstColdOracle:
+    @pytest.mark.parametrize("num_partitions", [1, 3])
+    def test_poison_crash_and_tear_hold(self, base_dataset, tmp_path,
+                                        num_partitions):
+        sim = run_ingest_sim(
+            base_dataset, records=80, seed=3, duplicate_every=7,
+            mangle_every=11, cite_every=5, partitions=num_partitions,
+            poison_record=40, crash_batch=1, truncate_journal=True,
+            workdir=tmp_path / "sim")
+        assert sim.crashed and sim.resumed
+        assert sim.contract_held, sim.render()
+        assert sim.metrics["partitions"] == num_partitions
 
 
 class TestValidation:

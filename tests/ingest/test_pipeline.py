@@ -1,4 +1,4 @@
-"""IngestPipeline stages: dedup tiers, backpressure, quarantine."""
+"""Pipeline stages at K=1: dedup tiers, backpressure, quarantine."""
 
 import json
 
@@ -9,8 +9,7 @@ from repro.engine.live import LiveRanker
 from repro.engine.updates import apply_update
 from repro.ingest import (
     Coalescer,
-    IngestJournal,
-    IngestPipeline,
+    PartitionedIngestPipeline,
     SyntheticSource,
     fault_free_reference,
 )
@@ -44,8 +43,8 @@ class ListSource:
 
 def make_pipeline(dataset, source, tmp_path, **kwargs):
     live = LiveRanker(dataset, checkpoint_dir=tmp_path / "ckpt")
-    journal = IngestJournal(tmp_path / "journal")
-    return IngestPipeline(live, source, journal, **kwargs)
+    return PartitionedIngestPipeline(live, source, tmp_path / "journal",
+                                     1, **kwargs)
 
 
 class TestHappyPath:
@@ -68,8 +67,8 @@ class TestHappyPath:
         source = SyntheticSource(sorted(base_dataset.articles), 10,
                                  seed=1)
         live = LiveRanker(base_dataset)  # no checkpoint_dir
-        journal = IngestJournal(tmp_path / "journal")
-        report = IngestPipeline(live, source, journal).run()
+        report = PartitionedIngestPipeline(
+            live, source, tmp_path / "journal", 1).run()
         assert report.articles_applied == 10
         assert report.committed_offset == 0
 
@@ -108,8 +107,8 @@ class TestDedupTiers:
         pipeline.run()
         # Second incarnation over the same journal + drained source:
         # replays nothing past the cursor, applies nothing twice.
-        resumed = IngestPipeline.resume(
-            tmp_path / "ckpt", tmp_path / "journal", source,
+        resumed = PartitionedIngestPipeline.resume(
+            tmp_path / "ckpt", tmp_path / "journal", source, 1,
             incarnation=1)
         report = resumed.run()
         assert report.articles_applied == 0

@@ -6,7 +6,7 @@ refresh → read — and that when something breaks mid-run, the SLO
 monitor breaches and the flight recorder freezes a bundle that renders
 offline. This suite wires the real components together (no mocks):
 
-* an :class:`IngestPipeline` whose ``sink`` is a sharded
+* a K=1 :class:`PartitionedIngestPipeline` whose ``sink`` is a sharded
   :class:`ShardedGateway` wrapping the *same* :class:`LiveRanker`,
 * a :class:`FaultPlan` that kills one shard at board epoch 1,
 * an :class:`SLOMonitor` + :class:`FlightRecorder` pair,
@@ -21,8 +21,7 @@ from repro.core.model import ArticleRanker, RankerConfig
 from repro.data.generator import GeneratorConfig, generate_dataset
 from repro.engine.live import LiveRanker
 from repro.ingest.coalescer import Coalescer
-from repro.ingest.journal import IngestJournal
-from repro.ingest.pipeline import IngestPipeline
+from repro.ingest.partition import PartitionedIngestPipeline
 from repro.ingest.source import SyntheticSource
 from repro.obs import FlightRecorder, Observability, SLOMonitor
 from repro.obs.metrics import FRESHNESS_METRIC
@@ -76,8 +75,8 @@ def _run_chaos(tmp_path, obs, wall=None):
     with ShardedGateway(live, 2, mode="inline", obs=obs,
                         fault_plan=plan, auto_respawn=False,
                         trace_reads=obs is not None) as gateway:
-        pipeline = IngestPipeline(
-            live, source, IngestJournal(tmp_path / "journal"),
+        pipeline = PartitionedIngestPipeline(
+            live, source, tmp_path / "journal", 1,
             coalescer=Coalescer(min_batch=8, max_batch=16),
             sink=gateway, obs=obs, **kwargs)
         pipeline.run()
