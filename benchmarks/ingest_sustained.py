@@ -21,6 +21,14 @@ so the journals stay bounded while the load runs. It writes one
 * ``metrics/segments_archived`` / ``metrics/segments_reclaimed_bytes``
   — journal segments reclaimed while the load ran (deterministic for
   fixed arguments);
+* ``metrics/checkpoints_written`` — ``repro_checkpoints_total``: one
+  rotation per applied batch, none for a commit that only moved
+  cursors (deterministic; CI hard-gates it);
+* ``metrics/checkpoint_corpus_records`` — records appended to the
+  corpus log by every checkpoint after the first, which must be exactly
+  the articles and citations applied after it: a checkpoint that
+  rewrites the corpus, or one that drops a record, moves it
+  (deterministic; CI hard-gates it);
 * ``metrics/batches_applied`` / ``metrics/served_samples`` — run shape.
 
 CI diffs the report against the committed baseline with::
@@ -28,13 +36,16 @@ CI diffs the report against the committed baseline with::
     python benchmarks/compare.py \
         benchmarks/baselines/ingest_sustained.json OUT.json \
         --hard-prefix metrics/records_lost \
-        --hard-prefix metrics/duplicates_applied
+        --hard-prefix metrics/duplicates_applied \
+        --hard-prefix metrics/checkpoints_written \
+        --hard-prefix metrics/checkpoint_corpus_records
 
-so loss or double application fails the build while wall-clock
-throughput and latency drift on shared runners stays soft. The script
-also self-checks — zero loss, zero duplicates, served samples present,
-archival actually reclaimed segments — and exits 2 before writing a
-report when the run itself is broken.
+so loss, double application or a checkpoint that does more than its
+batch fails the build while wall-clock throughput and latency drift on
+shared runners stays soft. The script also self-checks — zero loss,
+zero duplicates, served samples present, archival actually reclaimed
+segments, checkpoints in step with batches — and exits 2 before writing
+a report when the run itself is broken.
 
 Regenerate the baseline (after an *intentional* change) by running this
 script with ``--json`` pointed at the baseline path.
@@ -156,8 +167,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         + max(0, applied_edges - expected_edges)
     identical = datasets_equal(served_dataset, reference_dataset)
 
+    snapshot = obs.metrics.snapshot()
     served_samples, (p50_ms, p99_ms) = _served_percentiles(
-        obs.metrics.snapshot(), (0.50, 0.99))
+        snapshot, (0.50, 0.99))
+    checkpoints_written = int(
+        snapshot["repro_checkpoints_total"]["values"][0]["value"])
+    spans = obs.tracer.finished
+    corpus_records = sum(
+        span.attributes["records"] for span in
+        [s for s in spans if s.name == "live.checkpoint"][1:])
+    first_batch = next(s for s in spans if s.name == "ingest.batch")
+    applied_after_first = (
+        report.articles_applied + report.citations_applied
+        - first_batch.attributes["articles"]
+        - first_batch.attributes["citations"])
     records_per_sec = report.records_pulled / elapsed \
         if elapsed > 0 else 0.0
 
@@ -168,6 +191,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"p99<={p99_ms:.2f}ms")
     print(f"#   archival: {report.segments_archived} segment(s), "
           f"{report.segments_reclaimed_bytes} bytes reclaimed")
+    print(f"#   checkpoints: {checkpoints_written} rotation(s), "
+          f"{corpus_records} record(s) appended after the first")
     print(f"#   contract: lost={lost} duplicated={duplicated} "
           f"corpus_identical={identical}")
 
@@ -175,6 +200,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"FATAL: served corpus diverged from the fault-free "
               f"reference (lost={lost}, duplicated={duplicated}, "
               f"identical={identical})", file=sys.stderr)
+        return 2
+    if checkpoints_written != report.batches_applied \
+            or corpus_records != applied_after_first:
+        print(f"FATAL: checkpoints out of step with batches — "
+              f"{checkpoints_written} rotation(s) for "
+              f"{report.batches_applied} batch(es), {corpus_records} "
+              f"corpus record(s) appended after the first checkpoint "
+              f"for {applied_after_first} applied", file=sys.stderr)
         return 2
     if not served_samples:
         print("FATAL: no served freshness samples — the gateway sink "
@@ -193,6 +226,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run_report.record_metric("duplicates_applied", duplicated)
     run_report.record_metric("corpus_identical", int(identical))
     run_report.record_metric("batches_applied", report.batches_applied)
+    run_report.record_metric("checkpoints_written", checkpoints_written)
+    run_report.record_metric("checkpoint_corpus_records", corpus_records)
     run_report.record_metric("duplicates_skipped",
                              report.duplicates_skipped)
     run_report.record_metric("segments_archived",

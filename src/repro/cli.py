@@ -517,7 +517,10 @@ def _command_resume(args: argparse.Namespace) -> int:
     if manifest_path.exists():
         manifest = json_module.loads(
             manifest_path.read_text(encoding="utf-8"))
-        for name, entry in sorted(manifest.get("files", {}).items()):
+        pinned = sorted(manifest.get("files", {}).items())
+        if "corpus" in manifest:  # the log prefix, relative to `used`
+            pinned.append((manifest["corpus"]["path"], manifest["corpus"]))
+        for name, entry in pinned:
             print(f"  {used.name}/{name}: {entry['bytes']} bytes, "
                   f"sha256 {entry['sha256'][:12]}…")
     dataset = live.dataset

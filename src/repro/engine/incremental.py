@@ -260,7 +260,7 @@ class IncrementalEngine:
                              dtype=np.float64)
             return float(self.decay(gap)[0])
 
-        new_counts = []
+        new_rows = []
         new_targets = []
         new_weights = []
         for article in new_articles:
@@ -272,7 +272,7 @@ class IncrementalEngine:
                     continue
                 row.append(target)
                 row_weights.append(edge_weight(article.year, ref))
-            new_counts.append(len(row))
+            new_rows.append(row)
             new_targets.extend(row)
             new_weights.extend(row_weights)
 
@@ -284,6 +284,7 @@ class IncrementalEngine:
             np.asarray([a.year for a in new_articles], dtype=np.int64)])
         new_nodes = np.arange(old_n, old_n + len(new_articles),
                               dtype=np.int64)
+        new_counts = [len(row) for row in new_rows]
 
         if not batch.citations:
             indptr = np.concatenate([
@@ -313,15 +314,18 @@ class IncrementalEngine:
             target = index_of.get(cited)
             if source is None or target is None or citing == cited:
                 continue
+            # A pair the citing article already holds — in the graph,
+            # in its own arriving reference list, or earlier in this
+            # batch — is a no-op, as it is for the dataset.
+            known = existing_targets.get(source)
+            if known is None:
+                known = existing_targets[source] = set(
+                    self.graph.neighbors(source).tolist()
+                    if source < old_n else new_rows[source - old_n])
+            if target in known:
+                continue
+            known.add(target)
             if source < old_n:
-                known = existing_targets.get(source)
-                if known is None:
-                    known = set(int(t) for t in
-                                self.graph.neighbors(source))
-                    existing_targets[source] = known
-                if target in known:
-                    continue
-                known.add(target)
                 changed.add(source)
             citing_year = self.dataset.articles[citing].year
             inserted_src.append(source)

@@ -35,9 +35,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.obs.telemetry import SolverTelemetry
 from repro.core.model import ArticleRanker, RankerConfig, RankingResult
 from repro.core.time_weight import exponential_decay
+from repro.data.io import record_lines
 from repro.data.schema import ScholarlyDataset
 from repro.engine.incremental import IncrementalEngine, IncrementalReport
-from repro.engine.state import load_engine, save_engine
+from repro.engine.state import (append_corpus, corpus_prefix, load_engine,
+                                save_engine)
 from repro.engine.updates import UpdateBatch
 
 PathLike = Union[str, Path]
@@ -83,7 +85,8 @@ class LiveRanker:
         ``checkpoint_every`` batches (0 = only on explicit
         :meth:`checkpoint` calls) the engine state is saved atomically
         under ``checkpoint_dir/ckpt-<batches>``, keeping the newest
-        ``checkpoint_keep`` rotations.
+        ``checkpoint_keep`` rotations beside one append-only corpus
+        log (written whole by the session's first checkpoint only).
 
         ``fault_plan`` (a :class:`repro.resilience.FaultPlan`) is handed
         to every checkpoint save — the fault-injection suite's hook for
@@ -121,6 +124,11 @@ class LiveRanker:
         self._checkpoint_every = checkpoint_every
         self._checkpoint_keep = checkpoint_keep
         self._fault_plan = fault_plan
+        # The corpus-log prefix the last checkpoint sealed and, per
+        # batch applied since, its JSONL lines; replaced, never mutated,
+        # so whoever holds the old values can roll back to them.
+        self._sealed = None
+        self._unsaved: Tuple[Tuple[str, ...], ...] = ()
 
     # ------------------------------------------------------------------
 
@@ -152,7 +160,12 @@ class LiveRanker:
     def apply(self, batch: UpdateBatch
               ) -> Tuple[RankingResult, IncrementalReport]:
         """Ingest one batch; return the refreshed ranking and a report."""
+        before = self._engine.dataset
         report = self._engine.apply(batch)
+        if self._sealed is not None:  # else the log starts from the dataset
+            self._unsaved += (tuple(record_lines(
+                batch.venues, batch.authors, batch.articles,
+                batch.citations, known=before)),)
         self._result = self._ranker.rank_with_prestige(
             self._engine.dataset, self._engine.scores,
             graph=self._engine.graph, obs=self._obs)
@@ -180,7 +193,7 @@ class LiveRanker:
         span = self._obs.span("live.checkpoint",
                               batches=self._batches_applied) \
             if self._obs is not None else nullcontext()
-        with span:
+        with span as open_span:
             self._write_live_metadata(root)
             # Prune *before* saving as well as after: a crash between a
             # past save and its prune leaves keep+1 rotations behind,
@@ -189,14 +202,34 @@ class LiveRanker:
             # beyond checkpoint_keep are touched — never fresh data.
             for stale in checkpoint_rotations(root)[self._checkpoint_keep:]:
                 shutil.rmtree(stale)
+            # The log first, then the rotation that names its prefix:
+            # until that manifest seals, the append is an orphaned tail
+            # no rotation sees and the next append cuts off.
+            previous = self._sealed
+            sealed = append_corpus(root, previous, self._engine.dataset,
+                                   self._unsaved, self._fault_plan)
             save_engine(self._engine, rotation,
-                        fault_plan=self._fault_plan)
+                        fault_plan=self._fault_plan, corpus=sealed)
+            written = sealed.size - (previous.size if previous else 0) \
+                + sum(path.stat().st_size for path in rotation.iterdir())
             for stale in checkpoint_rotations(root)[self._checkpoint_keep:]:
                 shutil.rmtree(stale)
+        records = sum(map(len, self._unsaved))
+        self._sealed, self._unsaved = sealed, ()
         if self._obs is not None:
-            self._obs.metrics.counter(
+            open_span.attributes.update(bytes=written, records=records)
+            metrics = self._obs.metrics
+            metrics.counter(
                 "repro_checkpoints_total",
                 "Live checkpoint rotations written.").inc()
+            metrics.counter(
+                "repro_checkpoint_bytes_total",
+                "Bytes checkpoints wrote (corpus-log appends plus "
+                "rotation files).").inc(written)
+            metrics.histogram(
+                "repro_checkpoint_seconds",
+                "Wall time of one live checkpoint.").observe(
+                open_span.duration)
         return rotation
 
     def _write_live_metadata(self, root: Path) -> None:
@@ -274,4 +307,5 @@ class LiveRanker:
         live._checkpoint_every = int(meta.get("checkpoint_every", 0))
         live._checkpoint_keep = int(meta.get("checkpoint_keep", 3))
         live._fault_plan = None
+        live._sealed, live._unsaved = corpus_prefix(recovered), ()
         return live

@@ -71,7 +71,7 @@ from typing import (TYPE_CHECKING, Callable, Deque, Dict, List,
                     Optional, Tuple, Union)
 
 from repro.errors import IngestError, ParseError, SourceError
-from repro.engine.live import LiveRanker
+from repro.engine.live import LiveRanker, checkpoint_rotations
 from repro.engine.updates import validate_update_batch
 from repro.ingest.coalescer import Backpressure, Coalescer
 from repro.ingest.dedup import Deduplicator
@@ -801,7 +801,11 @@ class PartitionedIngestPipeline:
             return  # nothing new to make durable
         with maybe_span(self.obs, "ingest.commit",
                         coverage=sum(coverages)):
-            self.live.checkpoint()
+            # Records handled without effect (trailing duplicates,
+            # tombstones) need no new rotation, only the cursors.
+            if self._batches_since_checkpoint or not checkpoint_rotations(
+                    self.live.checkpoint_dir):
+                self.live.checkpoint()
             for coverage, worker in zip(coverages, self.workers):
                 if coverage > worker.journal.committed:
                     worker.journal.commit(coverage, extra={

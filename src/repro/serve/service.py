@@ -101,21 +101,23 @@ class _EngineGuard:
 
     _ENGINE_ATTRS = ("dataset", "graph", "years", "_edge_weights",
                      "scores", "_structure_cache")
+    #: ``_sealed`` / ``_unsaved``: a vetoed batch must leave the corpus
+    #: log's next append exactly as a batch that never arrived.
+    _LIVE_ATTRS = ("_result", "_batches_applied", "_sealed", "_unsaved")
 
     def __init__(self, live: "LiveRanker") -> None:
         self._live = live
         engine = live._engine
         self._engine_state = {name: getattr(engine, name)
                               for name in self._ENGINE_ATTRS}
-        self._result = live._result
-        self._batches_applied = live._batches_applied
+        self._live_state = {name: getattr(live, name)
+                            for name in self._LIVE_ATTRS}
 
     def restore(self) -> None:
-        engine = self._live._engine
         for name, value in self._engine_state.items():
-            setattr(engine, name, value)
-        self._live._result = self._result
-        self._live._batches_applied = self._batches_applied
+            setattr(self._live._engine, name, value)
+        for name, value in self._live_state.items():
+            setattr(self._live, name, value)
 
 
 class RankingService:

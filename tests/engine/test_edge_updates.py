@@ -95,3 +95,21 @@ class TestIncrementalEdgeUpdates:
             UpdateBatch(articles=(), citations=((citing, cited),)))
         citing_index = eng.graph.index_of(citing)
         assert citing_index in report.affected.seeds.tolist()
+
+    def test_cite_repeating_an_arriving_reference_adds_no_edge(
+            self, tiny_dataset):
+        # The dataset treats a citation its citing article already
+        # holds as a no-op; the appended graph must too, also when the
+        # citing article arrives in the same batch and when the batch
+        # repeats the pair. (It used to gain a parallel edge.)
+        import numpy as np
+
+        eng = IncrementalEngine(tiny_dataset)
+        eng.apply(UpdateBatch(
+            articles=(Article(id=10, title="n", year=2012,
+                              references=(0,)),),
+            citations=((10, 0), (10, 1), (10, 1))))
+        assert eng.dataset.articles[10].references == (0, 1)
+        rebuilt = eng.dataset.citation_csr()
+        assert np.array_equal(eng.graph.indptr, rebuilt.indptr)
+        assert np.array_equal(eng.graph.indices, rebuilt.indices)

@@ -75,6 +75,6 @@ class TestErrors:
         save_engine(engine, tmp_path / "ckpt")
         config = (tmp_path / "ckpt" / "engine.json")
         config.write_text(config.read_text().replace(
-            '"format_version": 2', '"format_version": 99'))
+            '"format_version": 3', '"format_version": 99'))
         with pytest.raises(StorageError, match="unsupported"):
             load_engine(tmp_path / "ckpt")

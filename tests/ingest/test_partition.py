@@ -249,6 +249,77 @@ class TestResumeAndCursors:
         assert datasets_equal(first.live.dataset,
                               resumed.live.dataset)
 
+    def test_trailing_duplicates_advance_cursors_without_a_rotation(
+            self, base_dataset, tmp_path):
+        # 40 articles cut into five batches of 8, then 6 verbatim
+        # re-deliveries: handled, journaled, without effect. The final
+        # forced commit must move the cursors past them and leave the
+        # rotations alone — it used to rewrite ckpt-00000005.
+        from repro.engine.live import checkpoint_rotations
+        from repro.obs import Observability
+
+        first_id = max(base_dataset.articles) + 1
+        feed = [{"kind": "article", "id": first_id + i, "year": 2014,
+                 "refs": [first_id + i - 1]} for i in range(40)]
+        feed += feed[:6]
+
+        class Feed:
+            def get(self, position):
+                return feed[position] if position < len(feed) else None
+
+        obs = Observability("trailing-duplicates")
+        live = LiveRanker(base_dataset, checkpoint_dir=tmp_path / "ckpt",
+                          obs=obs)
+        checkpoints = []
+        write = live.checkpoint
+        live.checkpoint = lambda: checkpoints.append(
+            live.batches_applied) or write()
+        pipeline = PartitionedIngestPipeline(
+            live, Feed(), tmp_path / "journal", 2, obs=obs,
+            coalescer=Coalescer(min_batch=8, max_batch=8))
+        report = pipeline.run()
+
+        assert report.batches_applied == 5
+        assert report.duplicates_skipped == 6
+        assert checkpoints == [1, 2, 3, 4, 5]
+        written = obs.metrics.snapshot()["repro_checkpoints_total"]
+        assert written["values"][0]["value"] == report.batches_applied
+        for worker in pipeline.workers:
+            assert worker.journal.committed == \
+                worker.stats.records_journaled
+            assert worker.journal.cursor_extra["batches_applied"] == 5
+            worker.journal.close()
+        assert checkpoint_rotations(tmp_path / "ckpt")[0].name == \
+            "ckpt-00000005"
+
+        resumed = PartitionedIngestPipeline.resume(
+            tmp_path / "ckpt", tmp_path / "journal", Feed(), 2,
+            coalescer=Coalescer(min_batch=8, max_batch=8))
+        again = resumed.run()
+        assert again.records_replayed == 0
+        assert again.batches_applied == 0
+        assert datasets_equal(live.dataset, resumed.live.dataset)
+
+    def test_a_feed_without_effect_still_leaves_one_rotation(
+            self, base_dataset, tmp_path):
+        # Cursors may only name offsets a durable rotation covers, so
+        # the very first commit writes one even with nothing applied.
+        known = sorted(base_dataset.articles)[:4]
+        feed = [{"kind": "cite", "citing": known[0], "cited": known[0]},
+                {"kind": "article", "title": "no id", "year": 2014}]
+
+        class Feed:
+            def get(self, position):
+                return feed[position] if position < len(feed) else None
+
+        live = LiveRanker(base_dataset, checkpoint_dir=tmp_path / "ckpt")
+        pipeline = PartitionedIngestPipeline(
+            live, Feed(), tmp_path / "journal", 2)
+        report = pipeline.run()
+        assert report.batches_applied == 0
+        assert sum(w.journal.committed for w in pipeline.workers) == 2
+        assert LiveRanker.resume(tmp_path / "ckpt").batches_applied == 0
+
     def test_resume_keyword_knobs_round_trip(self, base_dataset,
                                              tmp_path):
         source = chaos_source(base_dataset, records=30)
