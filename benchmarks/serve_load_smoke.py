@@ -4,8 +4,8 @@ Drives the K-shard scatter-gather gateway under publish churn with one
 shard crash-faulted mid-run, then writes one ``RunReport`` with:
 
 * ``metrics/merge_mismatches`` — merged top-k entries that differ from
-  the single-process ``RankingService`` (bit-exact compare: ids,
-  scores, tie order). Deterministic, must stay 0;
+  the published ranking's own order (bit-exact compare: ids, scores,
+  tie order). Deterministic, must stay 0;
 * ``metrics/queries_failed`` / ``metrics/shards_missing`` — reads that
   failed outright and shards still degraded after ``repair()``.
   Deterministic, must stay 0;

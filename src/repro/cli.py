@@ -20,13 +20,11 @@ Commands:
     resume    — inspect a live-ranker checkpoint directory (rotation
                 health, manifest) and continue the session from the
                 newest intact rotation.
-    serve-sim — run a simulated serving workload (reader threads vs a
-                live update feed, optionally with injected crash/NaN
-                faults) and print the health timeline.
-    serve-load — drive concurrent readers against the sharded
-                scatter-gather gateway under publish churn (optionally
-                crash/poisoning one shard) and report sustained QPS,
-                p50/p99 latency, and merge parity.
+    serve-load — drive concurrent readers against the serving gateway
+                (``--shards 1`` = the single-process tier) under
+                publish churn, optionally crash/NaN-poisoning chosen
+                batches and one shard, and report the health timeline,
+                sustained QPS, p50/p99 latency, and merge parity.
     ingest-sim — run the streaming-ingest chaos harness (journal,
                 dedup, backpressure, crash-resume) against a synthetic
                 feed and report the delivery-contract verdict;
@@ -51,7 +49,7 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.core.model import ArticleRanker, RankerConfig
@@ -64,6 +62,9 @@ from repro.data.schema import ScholarlyDataset
 from repro.eval.protocol import evaluate_ranking
 from repro.graph.stats import compute_stats
 from repro.storage.store import DatasetStore
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.engine.updates import UpdateBatch
 
 
 def _load_any(path: str) -> ScholarlyDataset:
@@ -478,20 +479,12 @@ def _command_metrics(args: argparse.Namespace) -> int:
 def _synthetic_batch(dataset: ScholarlyDataset, size: int,
                      rng) -> "UpdateBatch":
     """A plausible arrival batch: fresh ids citing existing articles."""
-    from repro.data.schema import Article
-    from repro.engine.updates import UpdateBatch
+    from repro.serve.load import synthetic_batch
 
     existing = sorted(dataset.articles)
-    next_id = existing[-1] + 1
     _, max_year = dataset.year_range()
-    articles = tuple(
-        Article(id=next_id + offset,
-                title=f"synthetic-arrival-{next_id + offset}",
-                year=max_year, venue_id=None, author_ids=(),
-                references=tuple(rng.sample(existing,
-                                            min(3, len(existing)))))
-        for offset in range(size))
-    return UpdateBatch(articles=articles)
+    return synthetic_batch(existing, existing[-1] + 1, size, max_year,
+                           rng)
 
 
 def _command_resume(args: argparse.Namespace) -> int:
@@ -548,33 +541,6 @@ def _command_resume(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_serve_sim(args: argparse.Namespace) -> int:
-    from repro.serve import run_simulation
-
-    dataset = _load_any(args.dataset)
-    sim = run_simulation(
-        dataset, batches=args.batches, batch_size=args.batch_size,
-        readers=args.readers, top=args.top,
-        crash_batch=args.crash_batch, poison_batch=args.poison_batch,
-        seed=args.seed)
-    print(f"# serve-sim: {dataset.name} ({dataset.num_articles} "
-          f"articles), {args.batches} batch(es) x {args.batch_size}, "
-          f"{args.readers} reader(s)")
-    print(sim.render())
-    # The artifact is written even for degraded/failed runs — a missing
-    # timeline in CI must mean the command never ran, not that the
-    # simulated pipeline tripped.
-    if args.json:
-        Path(args.json).write_text(sim.to_json() + "\n",
-                                   encoding="utf-8")
-        print(f"wrote {args.json}")
-    if sim.status == "failed":
-        print(f"error: serve-sim run failed: {sim.error}",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _command_serve_load(args: argparse.Namespace) -> int:
     from repro.serve import run_load
 
@@ -583,10 +549,14 @@ def _command_serve_load(args: argparse.Namespace) -> int:
         dataset, num_shards=args.shards, mode=args.mode,
         batches=args.batches, batch_size=args.batch_size,
         readers=args.readers, queries=args.queries, top=args.top,
+        crash_batch=args.crash_batch, poison_batch=args.poison_batch,
         crash_shard=args.crash_shard, poison_shard=args.poison_shard,
         fault_epoch=args.fault_epoch, seed=args.seed,
         bundle_dir=Path(args.bundle_dir) if args.bundle_dir else None)
     print(report.render())
+    # The artifact is written even for degraded/failed runs — a missing
+    # timeline in CI must mean the command never ran, not that the
+    # simulated pipeline tripped.
     if args.json:
         Path(args.json).write_text(report.to_json() + "\n",
                                    encoding="utf-8")
@@ -956,37 +926,15 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("--seed", type=int, default=0)
     resume.set_defaults(handler=_command_resume)
 
-    serve_sim = commands.add_parser(
-        "serve-sim", help="simulated serving workload with optional "
-                          "injected update-path faults; prints the "
-                          "health timeline")
-    serve_sim.add_argument("dataset")
-    serve_sim.add_argument("--batches", type=int, default=6,
-                           help="synthetic arrival batches to feed")
-    serve_sim.add_argument("--batch-size", type=int, default=20)
-    serve_sim.add_argument("--readers", type=int, default=2,
-                           help="concurrent reader threads")
-    serve_sim.add_argument("--top", type=int, default=10,
-                           help="k each reader requests")
-    serve_sim.add_argument("--crash-batch", type=int, default=None,
-                           help="inject one update-path crash at this "
-                                "0-based batch index")
-    serve_sim.add_argument("--poison-batch", type=int, default=None,
-                           help="poison this 0-based batch's candidate "
-                                "ranking with NaNs (guardrail veto)")
-    serve_sim.add_argument("--seed", type=int, default=0)
-    serve_sim.add_argument("--json", type=str, default=None,
-                           help="also save the timeline as JSON to "
-                                "this path")
-    serve_sim.set_defaults(handler=_command_serve_sim)
-
     serve_load = commands.add_parser(
-        "serve-load", help="sustained-QPS load harness against the "
-                           "sharded scatter-gather gateway, with "
-                           "optional one-shard crash/poison faults")
+        "serve-load", help="readers vs a faultable feed on the "
+                           "serving gateway: health timeline, QPS, "
+                           "merge parity; optional batch and "
+                           "one-shard crash/poison faults")
     serve_load.add_argument("dataset")
     serve_load.add_argument("--shards", type=int, default=2,
-                            help="partitions of the article id space")
+                            help="partitions of the article id space "
+                                 "(1 = the single-process tier)")
     serve_load.add_argument("--mode", choices=("inline", "process"),
                             default="inline",
                             help="shard deployment: same-process or "
@@ -1002,6 +950,12 @@ def build_parser() -> argparse.ArgumentParser:
                             help="queries each reader issues")
     serve_load.add_argument("--top", type=int, default=10,
                             help="k each reader requests")
+    serve_load.add_argument("--crash-batch", type=int, default=None,
+                            help="inject one update-path crash at this "
+                                 "0-based batch index")
+    serve_load.add_argument("--poison-batch", type=int, default=None,
+                            help="poison this 0-based batch's candidate "
+                                 "ranking with NaNs (guardrail veto)")
     serve_load.add_argument("--crash-shard", type=int, default=None,
                             help="crash this shard while it refreshes "
                                  "at --fault-epoch")

@@ -173,18 +173,6 @@ def map_views(segment: "SharedMemory",
 # serving score board: the cross-process publish/read protocol that the
 # sharded serving tier (repro.serve.shard / repro.serve.gateway) runs on.
 
-#: Tolerance contract of the ``float32`` score-board mode: a publish is
-#: accepted only when the float32 round-trip of every score agrees with
-#: the float64 original under ``np.allclose`` with these bounds.
-#: float32 rounding introduces at most ``2**-24`` (~6e-8) relative
-#: error, so ``rtol=1e-6`` passes every representable score with an
-#: order-of-magnitude margin while still rejecting genuine corruption
-#: (wrong dtype reinterpretation, truncated writes). ``atol`` only
-#: matters for scores near zero, far below any real PageRank mass.
-FLOAT32_PARITY_RTOL = 1e-6
-FLOAT32_PARITY_ATOL = 1e-12
-
-
 class ScoreBoardWriter:
     """Publish side of the shared-memory serving score board.
 
@@ -193,10 +181,7 @@ class ScoreBoardWriter:
 
     * ``ids`` — append-only ``int64[capacity]`` article ids (the corpus
       only ever grows under arrival batches);
-    * ``scores`` — double-buffered ``[2, capacity]`` in the board's
-      ``dtype`` (``float64`` default; opt-in ``float32`` halves the
-      serving lanes' bytes under the publish-time parity guardrail,
-      and readers transparently receive float64 either way); epoch
+    * ``scores`` — double-buffered ``float64[2, capacity]``; epoch
       ``e`` is written into buffer ``e % 2``, which is then left
       untouched until epoch ``e + 2``;
     * ``count`` — ``int64[2]`` articles valid per buffer;
@@ -210,22 +195,17 @@ class ScoreBoardWriter:
     :meth:`close` (idempotent) when serving ends.
     """
 
-    def __init__(self, capacity: int, prefix: str = "repro-serve",
-                 dtype: "np.dtype" = np.float64) -> None:
+    def __init__(self, capacity: int,
+                 prefix: str = "repro-serve") -> None:
         if capacity <= 0:
             raise ValueError(
                 f"score board capacity must be positive, got {capacity}")
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(
-                f"score board dtype must be float64 or float32, "
-                f"got {self.dtype}")
         self.capacity = int(capacity)
         self._segment, self.layout = pack_arrays(
             {"epoch": np.full(1, -1, dtype=np.int64),
              "count": np.zeros(2, dtype=np.int64),
              "ids": np.zeros(self.capacity, dtype=np.int64),
-             "scores": np.zeros((2, self.capacity), dtype=self.dtype)},
+             "scores": np.zeros((2, self.capacity), dtype=np.float64)},
             prefix=prefix)
         views = map_views(self._segment, self.layout)
         self._epoch = views["epoch"]
@@ -249,13 +229,6 @@ class ScoreBoardWriter:
         published epoch plus one, and the state must fit the board's
         capacity — violations raise ``ValueError`` before any shared
         write happens, so a rejected publish can never tear the board.
-
-        On a ``dtype=float32`` board the scores are narrowed at the
-        publish boundary, guarded by the documented parity contract:
-        the float32 round-trip must satisfy ``np.allclose`` against the
-        float64 input with :data:`FLOAT32_PARITY_RTOL` /
-        :data:`FLOAT32_PARITY_ATOL`, else the publish is rejected (also
-        before any shared write).
         """
         ids = np.ascontiguousarray(ids, dtype=np.int64)
         scores = np.ascontiguousarray(scores, dtype=np.float64)
@@ -274,20 +247,6 @@ class ScoreBoardWriter:
             raise ValueError(
                 "ids must extend the previously published ids "
                 "(the board's id prefix is append-only)")
-        if self.dtype != np.float64:
-            with np.errstate(over="ignore"):
-                # Overflow to inf is fine here: the parity check below
-                # rejects it with a clear error instead of a warning.
-                narrowed = scores.astype(self.dtype)
-            if not np.allclose(narrowed.astype(np.float64), scores,
-                               rtol=FLOAT32_PARITY_RTOL,
-                               atol=FLOAT32_PARITY_ATOL):
-                raise ValueError(
-                    f"float32 parity guardrail violated: narrowed "
-                    f"scores drift beyond rtol={FLOAT32_PARITY_RTOL}, "
-                    f"atol={FLOAT32_PARITY_ATOL} from their float64 "
-                    f"originals")
-            scores = narrowed
         # Only the tail of ``ids`` is new; the stable prefix is never
         # rewritten, so concurrent readers of older epochs see no
         # mutation at all.
@@ -346,10 +305,7 @@ class ScoreBoardReader:
             buffer = before % 2
             count = int(self._count[buffer])
             ids = np.array(self._ids[:count])
-            # Readers always see float64 — a float32 board widens here,
-            # so the board dtype is invisible to every consumer.
-            scores = np.array(self._scores[buffer, :count],
-                              dtype=np.float64)
+            scores = np.array(self._scores[buffer, :count])
             if int(self._epoch[0]) - before < 2:
                 return before, ids, scores
         raise StaleFrontierError(

@@ -129,18 +129,20 @@ def default_slos() -> Tuple[SLOSpec, ...]:
     """The serving tier's standing objectives (see OBSERVABILITY.md)."""
     return (
         SLOSpec(name="read-latency", kind="histogram_under",
-                objective=0.99, metric="repro_serve_read_latency_seconds",
+                objective=0.99,
+                metric="repro_gateway_read_latency_seconds",
                 threshold=0.1,
-                description="99% of service reads under 100 ms"),
+                description="99% of admitted gateway reads under "
+                            "100 ms"),
         SLOSpec(name="served-freshness", kind="histogram_under",
                 objective=0.95, metric="repro_freshness_served_seconds",
                 threshold=5.0,
                 description="95% of records served within 5 s of "
                             "arrival"),
         SLOSpec(name="availability", kind="ratio", objective=0.99,
-                metric="repro_serve_shed_total",
-                total_metric="repro_serve_requests_total",
-                description="99% of read requests admitted (not shed)"),
+                metric="repro_gateway_shed_total",
+                total_metric="repro_gateway_queries_total",
+                description="99% of gateway reads admitted (not shed)"),
         SLOSpec(name="gateway-degradation", kind="gauge_max",
                 metric="repro_gateway_degraded_shards", threshold=0.0,
                 description="no shard off the current board epoch"),

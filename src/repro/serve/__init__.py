@@ -1,16 +1,14 @@
-"""repro.serve: degradation-first serving over a live ranking.
+"""repro.serve: one degradation-first serving tier over a live ranking.
 
-The subsystem keeps a scholarly index *answering* while its update path
-misbehaves: reads land on an atomically-swapped, guardrail-validated
-:class:`Snapshot`; a bounded :class:`AdmissionGate` sheds excess load
-with typed errors; a :class:`CircuitBreaker` stops a failing update
-pipeline from being hammered while the last good snapshot keeps
-serving. The sharded tier (:class:`ShardedGateway` over per-shard
-:class:`ShardServer` workers on the shared-memory score board) scales
-the same ladder across processes: each shard degrades alone, and the
-scatter-gather merge reproduces the single-process order
-bit-identically. See ``docs/OPERATIONS.md`` ("Serving under failure"
-and "Sharded serving") for the operational story.
+:class:`ShardedGateway` is the tier — ``ShardedGateway(live, 1,
+mode="inline")`` in one process, K worker processes on the
+shared-memory score board at scale. It composes one
+:class:`RankingService` (apply → guardrails → rollback/quarantine →
+breaker → swap of an immutable :class:`Snapshot`) and serves every read
+from per-shard indexes whose merge is bit-identical to one
+:class:`repro.query.RankIndex`. :func:`run_load` is the one harness:
+readers vs a batch- and shard-faultable feed. See
+``docs/OPERATIONS.md`` ("Serving") for the degradation ladder.
 """
 
 from repro.serve.admission import AdmissionGate
@@ -21,11 +19,10 @@ from repro.serve.guardrails import (GuardrailPolicy, validate_candidate,
                                     validate_shard_slice)
 from repro.serve.load import LoadReport, run_load
 from repro.serve.merge import merge_page_entries, merge_top_entries
-from repro.serve.service import IngestReport, RankingService, ReadResult
+from repro.serve.service import IngestReport, RankingService
 from repro.serve.shard import (InlineShardHandle, ProcessShardHandle,
                                ShardConfig, ShardServer, ShardSnapshot,
                                ShardSpec, shard_of)
-from repro.serve.sim import ServeSimulation, run_simulation
 from repro.serve.snapshot import Snapshot
 
 __all__ = [
@@ -46,10 +43,7 @@ __all__ = [
     "merge_top_entries",
     "ProcessShardHandle",
     "RankingService",
-    "ReadResult",
     "run_load",
-    "run_simulation",
-    "ServeSimulation",
     "ShardConfig",
     "ShardedGateway",
     "ShardServer",

@@ -1,52 +1,56 @@
-"""Sharded scatter-gather gateway over the shm score board.
+"""The serving tier: K shards behind one scatter-gather front door.
 
-:class:`ShardedGateway` joins the two halves built by the earlier
-layers into one multi-process serving system:
+:class:`ShardedGateway` is the one read tier and the one publish path.
+A single process is ``ShardedGateway(live, 1, mode="inline")``; more
+shards and ``mode="process"`` scale the same object out.
 
 * **Update path (single updater)** — a composed
   :class:`~repro.serve.service.RankingService` owns the live engine,
-  the publish guardrails, quarantine, and the update breaker exactly as
-  in the single-process tier. Whenever it publishes a new snapshot, the
-  gateway writes the full ``(ids, scores)`` state to the shared-memory
+  the publish guardrails, quarantine, and the update breaker. Whenever
+  it publishes a new snapshot, the gateway writes the full
+  ``(ids, scores)`` state to the shared-memory
   :class:`~repro.engine.shm.ScoreBoardWriter` (append-only ids, one
   epoch bump) and scatters a ``refresh`` command to every shard. Each
-  shard then performs its *own* guardrailed swap from the board — a
-  poisoned or crashed shard degrades alone.
-* **Read path (scatter-gather)** — ``top``/``page``/``rank_of``
-  fan out to every shard (asyncio over a thread pool, since the pipe
-  handles block) and merge with
+  shard then performs its *own* guardrailed swap from the board and
+  builds the only serving index there is — a poisoned or crashed shard
+  degrades alone.
+* **Read path (scatter-gather)** — ``top_sync``/``page_sync``/
+  ``rank_of`` call every shard in turn and merge with
   :func:`~repro.serve.merge.merge_top_entries`, which reproduces the
-  single-process tie order bit-identically. A shard that cannot answer
-  (dead worker, timeout) is skipped and reported as degraded in the
-  result and in :meth:`health` — the query still answers from the
-  remaining shards.
+  order of one :class:`~repro.query.RankIndex` over the whole corpus
+  bit-identically. A shard that cannot answer (dead worker, timeout)
+  is skipped and reported as degraded in the result and in
+  :meth:`health` — the query still answers from the remaining shards;
+  a shard gate shedding a read surfaces as a typed
+  :class:`~repro.errors.OverloadError`.
 
-Degradation rungs per shard: **fresh** → **lagging** (vetoed/deferred
-refresh, last good shard snapshot serving) → **tripped** (shard breaker
-open) → **down** (process dead / pipe broken). :meth:`repair` respawns
-dead shards and re-refreshes lagging ones; :meth:`health` reports every
-rung without ever taking a shard's lock.
+The degradation ladder: **fresh** → **stale** (update path failing or
+breaker open, last good snapshot serving; ``health()["service"]``) /
+**lagging** (one shard's refresh vetoed or deferred, its last good
+shard snapshot serving) → **tripped** (shard breaker open) → **down**
+(process dead / pipe broken) / **shed** (gate full). :meth:`repair`
+respawns dead shards and re-refreshes lagging ones; :meth:`health`
+reports every rung without ever taking a shard's lock.
 """
 
 from __future__ import annotations
 
-import asyncio
-import functools
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
                     Tuple, Union)
 
 import numpy as np
 
-from repro.errors import ConfigError, ServeError, ShardUnavailableError
+from repro.errors import (ConfigError, OverloadError, ServeError,
+                          ShardUnavailableError)
 from repro.data.schema import Article
 from repro.engine.shm import ScoreBoardWriter
+from repro.obs.handle import maybe_span
 from repro.query import RankEntry
 from repro.resilience.policy import Deadline, RetryPolicy
+from repro.serve.breaker import CircuitBreaker
 from repro.serve.guardrails import GuardrailPolicy
 from repro.serve.merge import merge_page_entries, merge_top_entries
 from repro.serve.service import IngestReport, RankingService
@@ -86,9 +90,12 @@ class ShardedGateway:
         num_shards: partitions of the article id space
             (``article_id % num_shards``).
         mode: ``"process"`` (worker process per shard, scores via shm)
-            or ``"inline"`` (same-process shards; tests, small corpora).
+            or ``"inline"`` (same-process shards; with ``num_shards=1``
+            this is the single-process tier).
         guardrails: shared policy for the service publish *and* each
             shard's slice validation.
+        breaker: the update path's circuit breaker (default: a fresh
+            :class:`CircuitBreaker`).
         obs: observability handle — per-shard
             ``repro_gateway_*`` metrics and a ``gateway.publish`` span
             per board publish (single-updater path only).
@@ -96,29 +103,22 @@ class ShardedGateway:
             shard faults hit shard refreshes.
         board_capacity: score board slots (default: 4x the bootstrap
             corpus, headroom for arrivals).
-        score_dtype: dtype of the score board's serving lanes —
-            ``numpy.float64`` (default) or ``numpy.float32`` (halves
-            board score bytes; every publish is guarded by the
-            :data:`repro.engine.shm.FLOAT32_PARITY_RTOL` tolerance
-            contract against its float64 original, and shard reads
-            still return float64).
         call_timeout: per-shard pipe call budget in seconds.
         auto_respawn: respawn a dead shard during refresh (reads never
             respawn — they degrade; :meth:`repair` does the rest).
-        trace_reads: open a ``gateway.read`` span per *sync* read
-            (``top_sync``/``page_sync``). The tracer is a
-            single-threaded context stack, so enable this only for
-            single-threaded use; the publish/refresh path is always
-            traced (it has exactly one updater).
+        trace_reads: open a ``gateway.read`` span per read. The tracer
+            is a single-threaded context stack, so enable this only
+            for single-threaded use; the publish/refresh path is
+            always traced (it has exactly one updater).
     """
 
     def __init__(self, live: "LiveRanker", num_shards: int = 2, *,
                  mode: str = "process",
                  guardrails: Optional[GuardrailPolicy] = None,
+                 breaker: Optional[CircuitBreaker] = None,
                  obs: Optional["Observability"] = None,
                  fault_plan: Optional["FaultPlan"] = None,
                  board_capacity: Optional[int] = None,
-                 score_dtype: "np.dtype" = np.float64,
                  shard_failure_threshold: int = 3,
                  shard_cooldown: Optional[RetryPolicy] = None,
                  max_inflight: int = 64, max_waiting: int = 0,
@@ -126,9 +126,7 @@ class ShardedGateway:
                  auto_respawn: bool = True,
                  max_refresh_attempts: int = 3,
                  max_batch_attempts: int = 3,
-                 default_deadline: Optional[Deadline] = None,
-                 trace_reads: bool = False,
-                 **service_kwargs: object) -> None:
+                 trace_reads: bool = False) -> None:
         if num_shards <= 0:
             raise ConfigError(
                 f"num_shards must be positive, got {num_shards}")
@@ -143,15 +141,13 @@ class ShardedGateway:
         self._call_timeout = call_timeout
         self._auto_respawn = auto_respawn
         self._max_refresh_attempts = max_refresh_attempts
-        self._default_deadline = default_deadline
         self._trace_reads = trace_reads
         self._stats_lock = threading.Lock()
         self._closed = False
 
         self._service = RankingService(
-            live, guardrails=guardrails, obs=obs, fault_plan=fault_plan,
-            max_batch_attempts=max_batch_attempts,
-            **service_kwargs)
+            live, guardrails=guardrails, breaker=breaker, obs=obs,
+            fault_plan=fault_plan, max_batch_attempts=max_batch_attempts)
         self._shard_config = ShardConfig(
             guardrails=self._service._guardrails,
             max_inflight=max_inflight, max_waiting=max_waiting,
@@ -161,7 +157,7 @@ class ShardedGateway:
         articles = live.dataset.articles
         capacity = board_capacity if board_capacity is not None \
             else max(4 * len(articles), 4096)
-        self._writer = ScoreBoardWriter(capacity, dtype=score_dtype)
+        self._writer = ScoreBoardWriter(capacity)
         self._board_epoch = -1
         self._published_ids: List[int] = []
         self._published_set: set = set()
@@ -178,8 +174,6 @@ class ShardedGateway:
             for shard in range(num_shards)]
         self._respawns_total = 0
 
-        self._executor = ThreadPoolExecutor(
-            max_workers=num_shards, thread_name_prefix="repro-gateway")
         self._handles: List[ShardHandle] = []
         try:
             self._handles = [self._spawn(shard)
@@ -234,19 +228,12 @@ class ShardedGateway:
         snapshot = self._service.snapshot()
         if snapshot is self._last_published_snapshot:
             return
-        span = self._obs.span("gateway.publish",
-                              service_epoch=snapshot.epoch,
-                              board_epoch=self._board_epoch + 1) \
-            if self._obs is not None else None
-        if span is not None:
-            span.__enter__()
-        try:
+        with maybe_span(self._obs, "gateway.publish",
+                        service_epoch=snapshot.epoch,
+                        board_epoch=self._board_epoch + 1):
             self._publish_board(snapshot)
             self._partition_new_articles()
             self._sync_shards()
-        finally:
-            if span is not None:
-                span.__exit__(None, None, None)
 
     def _publish_board(self, snapshot) -> None:
         by_id = snapshot.ranking.by_id()
@@ -292,8 +279,6 @@ class ShardedGateway:
         Runs only on the single updater thread, so the ``gateway.
         refresh`` span (nested under ``gateway.publish`` during a
         scatter, a root during :meth:`repair`) is safe to open."""
-        from repro.obs.handle import maybe_span
-
         epoch = self._board_epoch
         with maybe_span(self._obs, "gateway.refresh", shard=shard,
                         epoch=epoch) as span:
@@ -366,35 +351,12 @@ class ShardedGateway:
                 degraded.append(shard)
         return answers, degraded
 
-    async def _scatter_async(self, method: str, **kwargs: object
-                             ) -> Tuple[List[Tuple[int, object]],
-                                        List[int]]:
-        """Concurrent scatter over the pipe handles (they block)."""
-        loop = asyncio.get_running_loop()
-        futures = [
-            loop.run_in_executor(
-                self._executor,
-                functools.partial(handle.call, method, **kwargs))
-            for handle in self._handles]
-        outcomes = await asyncio.gather(*futures,
-                                        return_exceptions=True)
-        answers: List[Tuple[int, object]] = []
-        degraded: List[int] = []
-        for shard, outcome in enumerate(outcomes):
-            if isinstance(outcome, ShardUnavailableError):
-                self._count_shard(shard, "unavailable")
-                degraded.append(shard)
-            elif isinstance(outcome, BaseException):
-                raise outcome
-            else:
-                answers.append((shard, outcome))
-        return answers, degraded
-
-    def _merge_read(self, answers: List[Tuple[int, object]],
-                    degraded: List[int],
+    def _merged_top(self, k: int,
                     merge: Callable[[List[List[RankEntry]]],
-                                    List[RankEntry]]
-                    ) -> GatewayReadResult:
+                                    List[RankEntry]],
+                    **kwargs: object) -> GatewayReadResult:
+        """Each shard's best ``k``, merged; degraded shards skipped."""
+        answers, degraded = self._scatter("top", k=k, **kwargs)
         if not answers:
             self._count_query("failed")
             raise ServeError(
@@ -409,99 +371,73 @@ class ShardedGateway:
             shards_answered=len(answers),
             degraded=tuple(degraded))
 
-    def _read_kwargs(self, deadline: Optional[Deadline]
-                     ) -> Dict[str, object]:
-        return {"deadline": deadline if deadline is not None
-                else self._default_deadline}
-
-    async def top(self, k: int = 10, venue_id: Optional[int] = None,
-                  author_id: Optional[int] = None,
-                  year_range: Optional[Tuple[int, int]] = None,
-                  deadline: Optional[Deadline] = None
-                  ) -> GatewayReadResult:
-        """Merged best ``k``; degraded shards are skipped, not fatal."""
-        answers, degraded = await self._scatter_async(
-            "top", k=k, venue_id=venue_id, author_id=author_id,
-            year_range=year_range, **self._read_kwargs(deadline))
-        return self._merge_read(
-            answers, degraded,
-            lambda entries: merge_top_entries(entries, k))
-
-    def _timed_read(self, op: str, fn: Callable[[], GatewayReadResult]
-                    ) -> GatewayReadResult:
-        """One sync scatter-gather read with latency accounting and,
-        when ``trace_reads`` is on, a ``gateway.read`` span."""
+    def _read(self, op: str, fn: Callable[[], object]) -> object:
+        """One read with the accounting the SLOs watch: latency of
+        admitted reads, a shed count where a shard gate's
+        :class:`OverloadError` surfaces, and (``trace_reads``) a
+        ``gateway.read`` span."""
         if self._obs is None:
             return fn()
-        span = self._obs.span("gateway.read", op=op,
-                              board_epoch=self._board_epoch) \
-            if self._trace_reads else nullcontext()
         started = time.perf_counter()
+        shed = False
         try:
-            with span:
+            with maybe_span(self._obs if self._trace_reads else None,
+                            "gateway.read", op=op,
+                            board_epoch=self._board_epoch):
                 return fn()
+        except OverloadError:
+            shed = True
+            raise
         finally:
-            elapsed = time.perf_counter() - started
-            with self._stats_lock:
-                self._obs.metrics.histogram(
-                    "repro_gateway_read_latency_seconds",
-                    "Wall-clock duration of sync scatter-gather "
-                    "reads.").observe(elapsed)
+            if shed:
+                self._count_query("shed")
+            else:
+                elapsed = time.perf_counter() - started
+                with self._stats_lock:
+                    self._obs.metrics.histogram(
+                        "repro_gateway_read_latency_seconds",
+                        "Wall-clock duration of admitted scatter-"
+                        "gather reads.").observe(elapsed)
 
     def top_sync(self, k: int = 10, venue_id: Optional[int] = None,
                  author_id: Optional[int] = None,
                  year_range: Optional[Tuple[int, int]] = None,
                  deadline: Optional[Deadline] = None
                  ) -> GatewayReadResult:
-        """Blocking :meth:`top` (serial scatter; CLI and tests)."""
-        def _run() -> GatewayReadResult:
-            answers, degraded = self._scatter(
-                "top", k=k, venue_id=venue_id, author_id=author_id,
-                year_range=year_range, **self._read_kwargs(deadline))
-            return self._merge_read(
-                answers, degraded,
-                lambda entries: merge_top_entries(entries, k))
-
-        return self._timed_read("top", _run)
-
-    async def page(self, offset: int, limit: int,
-                   deadline: Optional[Deadline] = None
-                   ) -> GatewayReadResult:
-        """Merged global slice ``[offset, offset+limit)``."""
-        answers, degraded = await self._scatter_async(
-            "top", k=offset + limit, **self._read_kwargs(deadline))
-        return self._merge_read(
-            answers, degraded,
-            lambda entries: merge_page_entries(entries, offset, limit))
+        """Merged best ``k``; degraded shards are skipped, not fatal."""
+        return self._read("top", lambda: self._merged_top(
+            k, lambda entries: merge_top_entries(entries, k),
+            venue_id=venue_id, author_id=author_id,
+            year_range=year_range, deadline=deadline))
 
     def page_sync(self, offset: int, limit: int,
                   deadline: Optional[Deadline] = None
                   ) -> GatewayReadResult:
-        def _run() -> GatewayReadResult:
-            answers, degraded = self._scatter(
-                "top", k=offset + limit, **self._read_kwargs(deadline))
-            return self._merge_read(
-                answers, degraded,
-                lambda entries: merge_page_entries(entries, offset,
-                                                   limit))
-
-        return self._timed_read("page", _run)
+        """Merged global slice ``[offset, offset+limit)``."""
+        return self._read("page", lambda: self._merged_top(
+            offset + limit,
+            lambda entries: merge_page_entries(entries, offset, limit),
+            deadline=deadline))
 
     def rank_of(self, article_id: int,
                 deadline: Optional[Deadline] = None) -> int:
         """1-based global rank — needs *every* shard, so a degraded
         shard raises :class:`ShardUnavailableError` (an exact rank over
         a partial corpus would be a lie)."""
-        owner = shard_of(article_id, self.num_shards)
-        kwargs = self._read_kwargs(deadline)
-        _, score = self._handles[owner].call(
-            "score_of", article_id=article_id, **kwargs)
-        total = 0
-        for handle in self._handles:
-            _, ahead = handle.call("count_above", score=score,
-                                   article_id=article_id, **kwargs)
-            total += ahead
-        return total + 1
+        def _run() -> int:
+            owner = shard_of(article_id, self.num_shards)
+            _, score = self._handles[owner].call(
+                "score_of", article_id=article_id, deadline=deadline)
+            total = 1
+            for handle in self._handles:
+                _, ahead = handle.call("count_above", score=score,
+                                       article_id=article_id,
+                                       deadline=deadline)
+                total += ahead
+            self._count_query("merged")
+            return total
+
+        return self._read("rank_of", _run)
 
     # ------------------------------------------------------------------
     # health
@@ -551,7 +487,7 @@ class ShardedGateway:
         }
 
     # ------------------------------------------------------------------
-    # observability (metrics registry is caller-locked, like service)
+    # observability (the metrics registry is caller-locked)
 
     def _count_shard(self, shard: int, outcome: str) -> None:
         if self._obs is None:
@@ -570,8 +506,12 @@ class ShardedGateway:
             self._obs.metrics.counter(
                 "repro_gateway_queries_total",
                 "Scatter-gather queries by outcome "
-                "(merged/partial/failed).",
+                "(merged/partial/failed/shed).",
                 labels=("outcome",)).inc(outcome=outcome)
+            if outcome == "shed":
+                self._obs.metrics.counter(
+                    "repro_gateway_shed_total",
+                    "Reads shed by a shard's admission gate.").inc()
 
     def _set_degraded_gauge(self, value: Optional[int] = None) -> None:
         if self._obs is None:
@@ -606,7 +546,6 @@ class ShardedGateway:
                 handle.stop()
             except Exception:  # noqa: BLE001 - best-effort teardown
                 pass
-        self._executor.shutdown(wait=True)
         self._writer.close()
 
     def __enter__(self) -> "ShardedGateway":

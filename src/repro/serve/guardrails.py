@@ -110,7 +110,7 @@ def validate_candidate(policy: GuardrailPolicy,
             violations.append(drift)
 
         if policy.max_churn < 1.0:
-            k = min(policy.churn_top_k, len(previous.index),
+            k = min(policy.churn_top_k, previous.num_articles,
                     node_ids.size)
             if k > 0:
                 prev_top = {article_id for article_id, _

@@ -1,39 +1,32 @@
-"""`RankingService`: degradation-first serving over a live ranking.
+"""`RankingService`: the single-updater publish path of the serving tier.
 
-The service decouples the two halves of a live scholarly index:
+The service owns everything between an arrival batch and a published
+ranking — and nothing else. Reads are not its business: every reader
+goes through :class:`~repro.serve.gateway.ShardedGateway`, which
+composes one service and serves from per-shard indexes (the
+single-process tier is ``ShardedGateway(live, 1, mode="inline")``).
 
-* **Read path** — many threads issue ``top``/``page``/``rank_of``
-  against the current :class:`~repro.serve.snapshot.Snapshot`. The
-  snapshot reference is swapped atomically, so a read never observes a
-  half-built world; a bounded :class:`~repro.serve.admission.AdmissionGate`
-  sheds excess load with a typed :class:`repro.errors.OverloadError`
-  instead of queueing unboundedly; reads never block on updates.
-* **Update path** — a single updater drives
-  :class:`repro.engine.live.LiveRanker` batches. Every candidate
-  ranking must pass the publish guardrails
-  (:func:`~repro.serve.guardrails.validate_candidate`) before the swap;
-  a vetoed or crashing batch rolls the engine back to the last good
-  state and is quarantined
-  (:class:`repro.data.quarantine.QuarantinedBatch`), while the previous
-  snapshot keeps serving — stale but available. A
-  :class:`~repro.serve.breaker.CircuitBreaker` stops a persistently
-  failing update pipeline from being hammered; deferred batches are
-  tracked as *batches behind* until the breaker's half-open probe
-  recovers.
-
-The degradation ladder, explicitly: **fresh** (updates publishing) →
-**stale** (update path failing/open, last good snapshot serving) →
-**shed** (read capacity exhausted, typed rejections). Each rung is
-observable via :meth:`RankingService.health`.
+One updater drives :class:`repro.engine.live.LiveRanker` batches. Every
+candidate ranking must pass the publish guardrails
+(:func:`~repro.serve.guardrails.validate_candidate`) before the swap of
+the immutable :class:`~repro.serve.snapshot.Snapshot`; a vetoed or
+crashing batch rolls the engine back to the last good state and is
+quarantined (:class:`repro.data.quarantine.QuarantinedBatch`), while the
+previous snapshot stays published — stale but correct. A
+:class:`~repro.serve.breaker.CircuitBreaker` stops a persistently
+failing update pipeline from being hammered; deferred batches are
+tracked as *batches behind* until the breaker's half-open probe
+recovers. :meth:`RankingService.health` reports the rung: **fresh**
+(updates publishing) or **stale** (update path failing/open, last good
+snapshot published).
 
 The update path is an exception firewall by design: it catches *all*
 exceptions from ``LiveRanker.apply`` (including injected test crashes)
-— a poisoned batch must never take the read path down with it.
+— a poisoned batch must never take the published snapshot down with it.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from contextlib import nullcontext
@@ -44,9 +37,6 @@ import numpy as np
 
 from repro.errors import ConfigError, ServeError
 from repro.data.quarantine import QuarantinedBatch
-from repro.query import RankEntry, RankIndex
-from repro.resilience.policy import Deadline
-from repro.serve.admission import AdmissionGate
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.guardrails import GuardrailPolicy, validate_candidate
 from repro.serve.snapshot import Snapshot
@@ -57,15 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.engine.updates import UpdateBatch
     from repro.obs.handle import Observability
     from repro.resilience.faults import FaultPlan
-
-
-@dataclass(frozen=True)
-class ReadResult:
-    """Entries plus the freshness metadata every response carries."""
-
-    entries: List[RankEntry]
-    epoch: int
-    batches_behind: int
 
 
 @dataclass(frozen=True)
@@ -121,39 +102,27 @@ class _EngineGuard:
 
 
 class RankingService:
-    """Owns the snapshot swap, the admission gate, and the breaker.
+    """Owns the engine, the guardrailed snapshot swap, and the breaker.
 
     Args:
-        live: the bootstrapped :class:`LiveRanker` to serve and update.
+        live: the bootstrapped :class:`LiveRanker` to update.
         guardrails: publish-time validation policy.
-        gate: read-path admission gate (default: 64 in flight, no
-            waiting room).
         breaker: update-path circuit breaker.
-        obs: optional observability handle (``serve.read`` /
-            ``serve.publish`` / ``serve.breaker`` spans and
-            ``repro_serve_*`` metrics).
+        obs: optional observability handle (``serve.publish`` /
+            ``serve.breaker`` spans and ``repro_serve_*`` metrics).
         fault_plan: deterministic chaos hook — consult
             :class:`repro.resilience.FaultPlan` batch faults at the
             exact points a real feed fails.
         max_batch_attempts: apply attempts before a crash-looping batch
             is quarantined instead of retried.
-        default_deadline: per-request budget used when a read carries
-            none.
-        trace_reads: open a ``serve.read`` span per read. The tracer is
-            a single-threaded context stack, so enable this only for
-            single-threaded use (the publish path is always traced —
-            it has exactly one updater).
     """
 
     def __init__(self, live: "LiveRanker", *,
                  guardrails: Optional[GuardrailPolicy] = None,
-                 gate: Optional[AdmissionGate] = None,
                  breaker: Optional[CircuitBreaker] = None,
                  obs: Optional["Observability"] = None,
                  fault_plan: Optional["FaultPlan"] = None,
-                 max_batch_attempts: int = 3,
-                 default_deadline: Optional[Deadline] = None,
-                 trace_reads: bool = False) -> None:
+                 max_batch_attempts: int = 3) -> None:
         if max_batch_attempts <= 0:
             raise ConfigError(
                 f"max_batch_attempts must be positive, "
@@ -161,21 +130,17 @@ class RankingService:
         self._live = live
         self._guardrails = guardrails if guardrails is not None \
             else GuardrailPolicy()
-        self._gate = gate if gate is not None else AdmissionGate()
         self._breaker = breaker if breaker is not None \
             else CircuitBreaker(obs=obs)
         self._obs = obs
         self._fault_plan = fault_plan
         self._max_batch_attempts = max_batch_attempts
-        self._default_deadline = default_deadline
-        self._trace_reads = trace_reads
 
         self._pending: Deque[_PendingBatch] = deque()
         self._next_batch_index = 0
         self._quarantined: List[QuarantinedBatch] = []
         self._publishes_total = 0
         self._update_failures_total = 0
-        self._stats_lock = threading.Lock()
 
         bootstrap = live.result
         violations = validate_candidate(self._guardrails, live.dataset,
@@ -185,68 +150,10 @@ class RankingService:
                 "bootstrap ranking failed publish guardrails: "
                 + "; ".join(violations))
         self._snapshot = Snapshot(
-            index=RankIndex(live.dataset, bootstrap.by_id()),
             ranking=bootstrap, epoch=0,
             batches_applied=live.batches_applied,
             published_at=time.time())
         self._set_stale_gauge()
-
-    # ------------------------------------------------------------------
-    # read path
-
-    def snapshot(self) -> Snapshot:
-        """The current snapshot (no admission control — monitoring use)."""
-        return self._snapshot
-
-    def _count_request(self, outcome: str) -> None:
-        if self._obs is None:
-            return
-        with self._stats_lock:
-            self._obs.metrics.counter(
-                "repro_serve_requests_total",
-                "Read requests by outcome.",
-                labels=("outcome",)).inc(outcome=outcome)
-            if outcome == "shed":
-                self._obs.metrics.counter(
-                    "repro_serve_shed_total",
-                    "Read requests shed by the admission gate.").inc()
-
-    def read_session(self, deadline: Optional[Deadline] = None):
-        """Admission-controlled access to one consistent snapshot.
-
-        ``with service.read_session() as snap:`` holds one in-flight
-        slot for the block and yields an immutable snapshot — every
-        query inside the block sees the same epoch.
-        """
-        return _ReadSession(self, deadline)
-
-    def top(self, k: int = 10, venue_id: Optional[int] = None,
-            author_id: Optional[int] = None,
-            year_range: Optional[Tuple[int, int]] = None,
-            deadline: Optional[Deadline] = None) -> ReadResult:
-        """Best ``k`` (optionally filtered) from the current snapshot."""
-        with self.read_session(deadline) as snap:
-            entries = snap.index.top(k, venue_id=venue_id,
-                                     author_id=author_id,
-                                     year_range=year_range)
-            return self._read_result(snap, entries)
-
-    def page(self, offset: int, limit: int,
-             deadline: Optional[Deadline] = None) -> ReadResult:
-        """Global ranking slice from the current snapshot."""
-        with self.read_session(deadline) as snap:
-            return self._read_result(snap, snap.index.page(offset, limit))
-
-    def rank_of(self, article_id: int,
-                deadline: Optional[Deadline] = None) -> int:
-        """1-based global rank of one article in the current snapshot."""
-        with self.read_session(deadline) as snap:
-            return snap.index.rank_of(article_id)
-
-    def _read_result(self, snap: Snapshot,
-                     entries: List[RankEntry]) -> ReadResult:
-        return ReadResult(entries=entries, epoch=snap.epoch,
-                          batches_behind=len(self._pending))
 
     # ------------------------------------------------------------------
     # update path (single updater)
@@ -355,15 +262,12 @@ class RankingService:
             return "published"
 
     def _publish(self, result: "RankingResult") -> None:
-        live = self._live
-        snapshot = Snapshot(
-            index=RankIndex(live.dataset, result.by_id()),
+        # One reference store: the gateway sees either the old or the
+        # new complete snapshot.
+        self._snapshot = Snapshot(
             ranking=result, epoch=self._snapshot.epoch + 1,
-            batches_applied=live.batches_applied,
+            batches_applied=self._live.batches_applied,
             published_at=time.time())
-        # One reference store: readers see either the old or the new
-        # complete snapshot.
-        self._snapshot = snapshot
         self._publishes_total += 1
         if self._obs is not None:
             self._obs.metrics.counter(
@@ -372,8 +276,8 @@ class RankingService:
 
     def _observe_publish_freshness(self, batch: "UpdateBatch") -> None:
         """Arrival→publish wall-clock seconds for a provenance-stamped
-        batch (``stage="publish"``): the records are now visible to
-        every service reader."""
+        batch (``stage="publish"``): the records are now in the
+        published snapshot."""
         if self._obs is None:
             return
         provenance = getattr(batch, "provenance", None)
@@ -424,6 +328,10 @@ class RankingService:
     # ------------------------------------------------------------------
     # health
 
+    def snapshot(self) -> Snapshot:
+        """The currently published snapshot."""
+        return self._snapshot
+
     @property
     def quarantined(self) -> List[QuarantinedBatch]:
         """Quarantined batches, oldest first (triage queue)."""
@@ -452,15 +360,13 @@ class RankingService:
             "breaker_opened_total": self._breaker.opened_total,
             "breaker_cooldown_remaining":
                 self._breaker.cooldown_remaining,
-            "requests_admitted_total": self._gate.admitted_total,
-            "requests_shed_total": self._gate.shed_total,
             "publishes_total": self._publishes_total,
             "update_failures_total": self._update_failures_total,
             "quarantined_total": len(self._quarantined),
         }
 
     def readiness(self) -> Dict[str, object]:
-        """Can this process take traffic, and at which rung?
+        """Is a validated snapshot published, and at which rung?
 
         ``ready`` is true whenever a validated snapshot exists — a
         stale snapshot still serves (that is the point). ``degraded``
@@ -478,48 +384,3 @@ class RankingService:
             "breaker": breaker_state,
         }
 
-
-class _ReadSession:
-    """Context manager pairing admission with one snapshot reference."""
-
-    def __init__(self, service: RankingService,
-                 deadline: Optional[Deadline]) -> None:
-        self._service = service
-        self._deadline = deadline if deadline is not None \
-            else service._default_deadline
-        self._admission = None
-        self._span = None
-        self._started = 0.0
-
-    def __enter__(self) -> Snapshot:
-        service = self._service
-        try:
-            self._admission = service._gate.admit(self._deadline)
-            self._admission.__enter__()
-        except Exception:
-            service._count_request("shed")
-            raise
-        service._count_request("served")
-        # Clock starts after admission: the latency SLO measures the
-        # work done for admitted reads, not time spent queueing to be
-        # shed.
-        self._started = time.perf_counter()
-        if service._obs is not None and service._trace_reads:
-            self._span = service._obs.span(
-                "serve.read", epoch=service._snapshot.epoch)
-            self._span.__enter__()
-        return service._snapshot
-
-    def __exit__(self, *exc_info) -> None:
-        if self._span is not None:
-            self._span.__exit__(*exc_info)
-        service = self._service
-        if self._admission is not None:
-            self._admission.__exit__(*exc_info)
-            if service._obs is not None:
-                elapsed = time.perf_counter() - self._started
-                with service._stats_lock:
-                    service._obs.metrics.histogram(
-                        "repro_serve_read_latency_seconds",
-                        "Wall-clock duration of admitted read "
-                        "sessions.").observe(elapsed)

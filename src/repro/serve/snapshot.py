@@ -1,13 +1,13 @@
-"""Immutable published snapshots — the unit the read path sees.
+"""Immutable published snapshots — the unit the update path hands over.
 
-A :class:`Snapshot` bundles everything a read needs — the
-:class:`repro.query.RankIndex`, the full :class:`RankingResult` it was
-built from, and freshness metadata — into one immutable value. The
-serving layer swaps the *reference* to the current snapshot atomically
-(one attribute store, no locks on the read side), so a reader either
-sees the old complete world or the new complete world, never a torn
-mix. Snapshots are only ever constructed fully and validated before
-they are published; nothing mutates one after the swap.
+A :class:`Snapshot` bundles the validated :class:`RankingResult` and its
+freshness metadata into one immutable value. The service swaps the
+*reference* to the current snapshot atomically (one attribute store),
+so the gateway propagating it to the score board sees the old complete
+world or the new complete world, never a torn mix. Snapshots are only
+ever constructed fully and validated before they are published; nothing
+mutates one after the swap. The serving indexes are per shard
+(:class:`repro.serve.shard.ShardSnapshot`), built from the board.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.model import RankingResult
-    from repro.query import RankIndex
 
 
 @dataclass(frozen=True)
@@ -25,8 +24,7 @@ class Snapshot:
     """One published, validated, immutable view of the ranking.
 
     Attributes:
-        index: the serving index (top-k, filters, pagination).
-        ranking: the full model result the index was built from.
+        ranking: the full, guardrail-validated model result.
         epoch: publish counter — the bootstrap snapshot is epoch 0 and
             every successful guardrailed swap increments it by one.
         batches_applied: the live engine's batch count when this
@@ -35,7 +33,6 @@ class Snapshot:
             staleness-by-age reporting.
     """
 
-    index: "RankIndex"
     ranking: "RankingResult"
     epoch: int
     batches_applied: int
@@ -43,4 +40,4 @@ class Snapshot:
 
     @property
     def num_articles(self) -> int:
-        return len(self.index)
+        return len(self.ranking.node_ids)

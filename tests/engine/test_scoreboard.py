@@ -91,58 +91,17 @@ class TestPublish:
 
 
 class TestFloat32Mode:
-    def test_dtype_validation(self):
-        with pytest.raises(ValueError, match="dtype"):
-            ScoreBoardWriter(capacity=4, dtype=np.int32)
-        with pytest.raises(ValueError, match="dtype"):
-            ScoreBoardWriter(capacity=4, dtype=np.float16)
-
-    def test_roundtrip_within_tolerance(self):
-        from repro.engine.shm import (FLOAT32_PARITY_ATOL,
-                                      FLOAT32_PARITY_RTOL)
-
-        board = ScoreBoardWriter(capacity=8, dtype=np.float32)
-        try:
-            ids = np.arange(5, dtype=np.int64)
-            scores = np.array([0.1, 0.7, 1 / 3, 1e-6, 0.999999])
-            board.publish(ids, scores, epoch=0)
-            reader = ScoreBoardReader(board.layout)
-            epoch, got_ids, got_scores = reader.read()
-            assert epoch == 0
-            assert np.array_equal(got_ids, ids)
-            # Readers always see float64, narrowed through float32.
-            assert got_scores.dtype == np.float64
-            assert np.allclose(got_scores, scores,
-                               rtol=FLOAT32_PARITY_RTOL,
-                               atol=FLOAT32_PARITY_ATOL)
-            reader.close()
-        finally:
-            board.close()
+    """The float32 board option is gone; float64 is the only lane."""
 
     def test_float64_roundtrip_still_bit_exact(self):
-        board = ScoreBoardWriter(capacity=4, dtype=np.float64)
+        board = ScoreBoardWriter(capacity=4)
         try:
             scores = np.array([0.1, 1 / 3])
             board.publish(np.array([1, 2]), scores, epoch=0)
             reader = ScoreBoardReader(board.layout)
             _, _, got = reader.read()
+            assert got.dtype == np.float64
             assert got.tobytes() == scores.tobytes()
             reader.close()
-        finally:
-            board.close()
-
-    def test_guardrail_rejects_out_of_range_scores(self):
-        # Beyond float32 range the narrowed copy overflows to inf, so
-        # the parity check must refuse the publish.
-        board = ScoreBoardWriter(capacity=4, dtype=np.float32)
-        try:
-            huge = np.array([1.0, 1e39])
-            with pytest.raises(ValueError, match="parity guardrail"):
-                board.publish(np.array([1, 2]), huge, epoch=0)
-            # The failed publish must not have advanced the epoch.
-            assert board.epoch == -1
-            board.publish(np.array([1, 2]), np.array([0.5, 0.5]),
-                          epoch=0)
-            assert board.epoch == 0
         finally:
             board.close()

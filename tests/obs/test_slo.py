@@ -245,3 +245,38 @@ class TestRendering:
         payload = status.as_dict()
         assert payload["name"] == "availability"
         assert set(payload["burn_rates"]) == {"60.0", "300.0"}
+
+
+@pytest.mark.serve
+class TestDefaultSLOsWatchTheGateway:
+    """The default objectives read what the one read path emits."""
+
+    def test_reads_and_a_forced_shed_reach_both_slos(self, tiny_dataset):
+        from repro.engine.live import LiveRanker
+        from repro.errors import OverloadError
+        from repro.obs import Observability
+        from repro.serve import ShardedGateway
+
+        obs = Observability("slo-gateway")
+        with ShardedGateway(LiveRanker(tiny_dataset), 1, mode="inline",
+                            obs=obs, max_inflight=1) as gateway:
+            monitor = SLOMonitor(obs.metrics)
+            monitor.tick()
+            for _ in range(10):
+                gateway.top_sync(3)
+            quiet = {s.name: s for s in monitor.tick()}
+            assert quiet["read-latency"].events == 10
+            assert quiet["availability"].events == 10
+            assert not quiet["availability"].breaching
+
+            with gateway._handles[0]._server._gate.admit(None):
+                with pytest.raises(OverloadError):
+                    gateway.top_sync(3)
+            burning = {s.name: s for s in monitor.tick()}
+            # 1 shed of 11 reads against a 1% budget burns at ~9.
+            assert burning["availability"].events == 11
+            assert burning["availability"].breaching
+            assert all(rate == pytest.approx(100 / 11) for rate
+                       in burning["availability"].burn_rates.values())
+            # Shed reads are not latency samples.
+            assert burning["read-latency"].events == 10

@@ -1,25 +1,27 @@
 """ShardedGateway: cross-process parity and per-shard degradation.
 
-The acceptance suite for the sharded tier: K-shard scatter-gather
+The acceptance suite for the serving tier: K-shard scatter-gather
 results must be **bit-identical** (ids, scores, tie order, ranks) to
-the single-process :class:`RankingService` on the same snapshot —
-including filtered queries — and a crash/poisoned shard must degrade
-alone (last good shard snapshot serving, reported in ``health()``)
-while every other shard stays fresh.
+one :class:`RankIndex` over the whole published corpus — including
+filtered queries — and a crash/poisoned shard must degrade alone (last
+good shard snapshot serving, reported in ``health()``) while every
+other shard stays fresh.
 """
 
-import asyncio
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError, NodeNotFoundError, ServeError
 from repro.data.generator import GeneratorConfig, generate_dataset
 from repro.engine.live import LiveRanker
+from repro.obs import Observability
+from repro.query import RankIndex
 from repro.resilience import (WORKER_CRASH_EXIT_CODE, FaultPlan,
                               RetryPolicy)
 from repro.serve import ShardedGateway
-from repro.serve.sim import synthetic_batch
+from repro.serve.load import synthetic_batch
 
 pytestmark = pytest.mark.serve
 
@@ -40,6 +42,12 @@ def make_gateway(dataset, num_shards=3, **kwargs):
     kwargs.setdefault("mode", "inline")
     kwargs.setdefault("shard_cooldown", FAST)
     return ShardedGateway(LiveRanker(dataset), num_shards, **kwargs)
+
+
+def single_index(gateway):
+    """One RankIndex over everything the update path has published."""
+    live = gateway.service._live
+    return RankIndex(live.dataset, live.result.by_id())
 
 
 def feed(gateway, dataset, batches, batch_size=12, seed=0):
@@ -69,7 +77,7 @@ class TestParity:
     def test_top_k_bit_identical_after_churn(self, gateway_dataset):
         with make_gateway(gateway_dataset) as gateway:
             feed(gateway, gateway_dataset, batches=2)
-            index = gateway.service.snapshot().index
+            index = single_index(gateway)
             for k in (1, 10, 50):
                 result = gateway.top_sync(k)
                 assert result.complete
@@ -80,7 +88,7 @@ class TestParity:
     def test_filtered_queries_bit_identical(self, gateway_dataset):
         with make_gateway(gateway_dataset) as gateway:
             feed(gateway, gateway_dataset, batches=1)
-            index = gateway.service.snapshot().index
+            index = single_index(gateway)
             venue = next(iter(gateway_dataset.venues))
             author = next(iter(gateway_dataset.authors))
             assert gateway.top_sync(10, venue_id=venue).entries \
@@ -93,14 +101,14 @@ class TestParity:
 
     def test_page_bit_identical(self, gateway_dataset):
         with make_gateway(gateway_dataset) as gateway:
-            index = gateway.service.snapshot().index
+            index = single_index(gateway)
             assert gateway.page_sync(0, 10).entries == index.page(0, 10)
             assert gateway.page_sync(25, 10).entries \
                 == index.page(25, 10)
 
     def test_rank_of_matches_single_process(self, gateway_dataset):
         with make_gateway(gateway_dataset) as gateway:
-            index = gateway.service.snapshot().index
+            index = single_index(gateway)
             for article_id in list(gateway_dataset.articles)[:25]:
                 assert gateway.rank_of(article_id) \
                     == index.rank_of(article_id)
@@ -110,53 +118,81 @@ class TestParity:
             with pytest.raises(NodeNotFoundError):
                 gateway.rank_of(10_000_000)
 
-    def test_async_scatter_gather_parity(self, gateway_dataset):
-        with make_gateway(gateway_dataset) as gateway:
-            index = gateway.service.snapshot().index
-
-            async def queries():
-                top, page = await asyncio.gather(
-                    gateway.top(10), gateway.page(5, 5))
-                return top, page
-
-            top, page = asyncio.run(queries())
-            assert top.entries == index.top(10)
-            assert page.entries == index.page(5, 5)
-
     def test_single_shard_degenerate_case(self, gateway_dataset):
         with make_gateway(gateway_dataset, num_shards=1) as gateway:
-            index = gateway.service.snapshot().index
+            index = single_index(gateway)
             assert gateway.top_sync(20).entries == index.top(20)
 
 
-class TestFloat32Serving:
-    """Opt-in float32 score board behind the same query surface."""
+    @pytest.mark.faults
+    @pytest.mark.parametrize("num_shards", [1, 2, 3])
+    def test_parity_after_faulted_feed(self, gateway_dataset,
+                                       num_shards):
+        # Batch 1 is NaN-poisoned (quarantined), batch 2 crashes once
+        # (retried): every read must still equal one RankIndex over
+        # what the update path ended up publishing, entry for entry.
+        plan = FaultPlan().poison_batch(1).crash_batch(2)
+        with make_gateway(gateway_dataset, num_shards=num_shards,
+                          fault_plan=plan) as gateway:
+            feed(gateway, gateway_dataset, batches=4)
+            service = gateway.health()["service"]
+            assert service["quarantined_total"] == 1
+            assert service["batches_behind"] == 0
+            assert gateway.board_epoch == 3
+            index = single_index(gateway)
+            assert gateway.top_sync(30).entries == index.top(30)
+            assert gateway.top_sync(
+                10, year_range=(2003, 2008)).entries \
+                == index.top(10, year_range=(2003, 2008))
+            assert gateway.page_sync(7, 15).entries == index.page(7, 15)
+            for article_id in list(gateway_dataset.articles)[:15]:
+                assert gateway.rank_of(article_id) \
+                    == index.rank_of(article_id)
 
-    def test_top_k_within_float32_tolerance(self, gateway_dataset):
-        import numpy as np
 
-        from repro.engine.shm import (FLOAT32_PARITY_ATOL,
-                                      FLOAT32_PARITY_RTOL)
+class TestWorkCount:
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_one_ingest_builds_one_index_per_shard(
+            self, gateway_dataset, num_shards, monkeypatch):
+        # Every RankIndex built anywhere in the process is counted:
+        # the shards' refreshes are the only builders left.
+        built = []
+        build = RankIndex.__init__
 
+        def counting_build(index, *args, **kwargs):
+            built.append(index)
+            build(index, *args, **kwargs)
+
+        monkeypatch.setattr(RankIndex, "__init__", counting_build)
         with make_gateway(gateway_dataset,
-                          score_dtype=np.float32) as gateway:
-            feed(gateway, gateway_dataset, batches=2)
-            index = gateway.service.snapshot().index
-            result = gateway.top_sync(25)
-            assert result.complete
-            exact = index.top(25)
-            assert [e.article_id for e in result.entries] \
-                == [e.article_id for e in exact]
-            got = np.array([e.score for e in result.entries])
-            want = np.array([e.score for e in exact])
-            assert np.allclose(got, want, rtol=FLOAT32_PARITY_RTOL,
-                               atol=FLOAT32_PARITY_ATOL)
+                          num_shards=num_shards) as gateway:
+            assert len(built) == num_shards  # bootstrap publish
+            feed(gateway, gateway_dataset, batches=1)
+            assert len(built) == 2 * num_shards
+
+
+class TestPublishSpan:
+    def test_refused_board_publish_marks_span_error(
+            self, gateway_dataset):
+        obs = Observability("gateway-test")
+        with make_gateway(gateway_dataset, num_shards=2, obs=obs,
+                          board_capacity=185) as gateway:
+            # 12 arrivals overflow the 185-slot board: the service
+            # publishes, the board refuses.
+            with pytest.raises(ServeError,
+                               match="score board publish failed"):
+                feed(gateway, gateway_dataset, batches=1)
+        publishes = [span for span in obs.tracer.export()
+                     if span["name"] == "gateway.publish"]
+        assert [span["status"] for span in publishes] == ["ok", "error"]
+
+
+class TestFloat32Serving:
+    """The score board serves float64, full stop."""
 
     def test_float64_default_unchanged(self, gateway_dataset):
-        import numpy as np
-
         with make_gateway(gateway_dataset) as gateway:
-            assert gateway._writer.dtype == np.float64
+            assert gateway._writer._scores.dtype == np.float64
 
 
 class TestProcessMode:
@@ -165,7 +201,7 @@ class TestProcessMode:
                           mode="process",
                           call_timeout=60.0) as gateway:
             feed(gateway, gateway_dataset, batches=2)
-            index = gateway.service.snapshot().index
+            index = single_index(gateway)
             result = gateway.top_sync(25)
             assert result.complete
             assert result.entries == index.top(25)
@@ -203,7 +239,7 @@ class TestChaos:
             health = gateway.health()
             assert health["status"] == "fresh"
             assert gateway.top_sync(10).entries \
-                == gateway.service.snapshot().index.top(10)
+                == single_index(gateway).top(10)
 
     def test_crashed_worker_process_detected_and_respawned(
             self, gateway_dataset):
@@ -229,7 +265,7 @@ class TestChaos:
             assert health["status"] == "fresh"
             assert health["respawns_total"] == 1
             assert gateway.top_sync(10).entries \
-                == gateway.service.snapshot().index.top(10)
+                == single_index(gateway).top(10)
 
     def test_auto_respawn_recovers_within_the_publish(
             self, gateway_dataset):
@@ -243,7 +279,7 @@ class TestChaos:
             assert health["status"] == "fresh"
             assert health["respawns_total"] == 1
             assert gateway.top_sync(10).entries \
-                == gateway.service.snapshot().index.top(10)
+                == single_index(gateway).top(10)
 
     def test_all_shards_down_raises_typed_error(self, gateway_dataset):
         plan = FaultPlan()

@@ -8,7 +8,6 @@ from dataclasses import replace
 
 from repro.errors import ConfigError
 from repro.core.model import ArticleRanker
-from repro.query import RankIndex
 from repro.serve import (GuardrailPolicy, Snapshot, validate_candidate,
                          validate_shard_slice)
 
@@ -18,8 +17,7 @@ pytestmark = pytest.mark.serve
 @pytest.fixture()
 def ranked(tiny_dataset):
     result = ArticleRanker().rank(tiny_dataset)
-    snapshot = Snapshot(index=RankIndex(tiny_dataset, result.by_id()),
-                        ranking=result, epoch=0, batches_applied=0,
+    snapshot = Snapshot(ranking=result, epoch=0, batches_applied=0,
                         published_at=time.time())
     return tiny_dataset, result, snapshot
 

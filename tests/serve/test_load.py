@@ -1,4 +1,7 @@
-"""serve-load: sustained QPS over the sharded gateway + CLI."""
+"""serve-load: the one serve harness (readers vs a faultable feed) + CLI.
+
+The single-process, batch-faulted scenarios live in ``test_sim.py``.
+"""
 
 import json
 
@@ -52,6 +55,22 @@ class TestRunLoad:
         # The fault was visible while live ...
         assert report.degraded_during == [1]
         # ... and repair() restored parity: nothing missing, bit-exact.
+        assert report.shards_missing == 0
+        assert report.merge_mismatches == 0
+        assert report.health["status"] == "fresh"
+
+    def test_batch_and_shard_faults_in_one_run(self, load_dataset):
+        # Batch 1 is quarantined (no publish), so the board reaches
+        # epoch 2 on batch 2 — where shard 1's slice is poisoned.
+        report = run_load(load_dataset, num_shards=2, batches=3,
+                          batch_size=10, readers=1, queries=8,
+                          poison_batch=1, poison_shard=1, fault_epoch=2)
+        assert report.status == "ok"
+        assert [t["status"] for t in report.timeline] \
+            == ["published", "quarantined", "published"]
+        assert [r["index"] for r in report.quarantined] == [1]
+        assert report.degraded_during == [1]
+        assert report.board_epoch == 2
         assert report.shards_missing == 0
         assert report.merge_mismatches == 0
         assert report.health["status"] == "fresh"

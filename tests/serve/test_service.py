@@ -1,4 +1,9 @@
-"""RankingService: snapshot swaps, read path, update path, health."""
+"""The serving tier's two halves.
+
+Update-path cases (guardrail veto, rollback, quarantine, breaker)
+target :class:`RankingService` directly; read-path cases run on the
+single-process tier, a 1-shard inline :class:`ShardedGateway`.
+"""
 
 import numpy as np
 import pytest
@@ -8,8 +13,8 @@ from repro.engine.live import LiveRanker
 from repro.engine.updates import yearly_updates
 from repro.obs import Observability
 from repro.resilience import FaultPlan, RetryPolicy
-from repro.serve import (AdmissionGate, CircuitBreaker, GuardrailPolicy,
-                         RankingService)
+from repro.serve import (CircuitBreaker, GuardrailPolicy,
+                         RankingService, ShardedGateway)
 
 pytestmark = pytest.mark.serve
 
@@ -30,6 +35,16 @@ def make_service(base, **kwargs):
     kwargs.setdefault("breaker",
                       CircuitBreaker(failure_threshold=2, cooldown=FAST))
     return RankingService(live, **kwargs)
+
+
+def make_gateway(base, **kwargs):
+    """The single-process tier."""
+    return ShardedGateway(LiveRanker(base), 1, mode="inline", **kwargs)
+
+
+def hold_slot(gateway):
+    """Occupy one in-flight slot of the (only) shard's gate."""
+    return gateway._handles[0]._server._gate.admit(None)
 
 
 class TestValidation:
@@ -64,59 +79,59 @@ class TestBootstrap:
 class TestReadPath:
     def test_top_returns_entries_with_epoch(self, stream):
         base, _ = stream
-        service = make_service(base)
-        result = service.top(5)
-        assert len(result.entries) == 5
-        assert result.epoch == 0
-        assert result.batches_behind == 0
-        scores = [entry.score for entry in result.entries]
-        assert scores == sorted(scores, reverse=True)
+        with make_gateway(base) as gateway:
+            result = gateway.top_sync(5)
+            assert len(result.entries) == 5
+            assert result.epoch == 0
+            assert result.complete
+            assert gateway.health()["service"]["batches_behind"] == 0
+            scores = [entry.score for entry in result.entries]
+            assert scores == sorted(scores, reverse=True)
 
     def test_filters_and_pagination(self, stream):
         base, _ = stream
-        service = make_service(base)
-        venue_id = next(iter(base.venues))
-        filtered = service.top(3, venue_id=venue_id)
-        for entry in filtered.entries:
-            assert base.articles[entry.article_id].venue_id == venue_id
-        page = service.page(2, 4)
-        assert [e.rank for e in page.entries] == [3, 4, 5, 6]
-        best = service.top(1).entries[0]
-        assert service.rank_of(best.article_id) == 1
-        with pytest.raises(NodeNotFoundError):
-            service.rank_of(-42)
-
-    def test_read_session_pins_one_snapshot(self, stream):
-        base, _ = stream
-        service = make_service(base)
-        with service.read_session() as snap:
-            assert snap is service.snapshot()
+        with make_gateway(base) as gateway:
+            venue_id = next(iter(base.venues))
+            filtered = gateway.top_sync(3, venue_id=venue_id)
+            for entry in filtered.entries:
+                assert base.articles[entry.article_id].venue_id \
+                    == venue_id
+            page = gateway.page_sync(2, 4)
+            assert [e.rank for e in page.entries] == [3, 4, 5, 6]
+            best = gateway.top_sync(1).entries[0]
+            assert gateway.rank_of(best.article_id) == 1
+            with pytest.raises(NodeNotFoundError):
+                gateway.rank_of(-42)
 
     def test_requests_counted(self, stream):
         base, _ = stream
         obs = Observability("serve-test")
-        service = make_service(base, obs=obs)
-        service.top(3)
-        service.top(3)
-        counter = obs.metrics.counter("repro_serve_requests_total",
+        with make_gateway(base, obs=obs) as gateway:
+            gateway.top_sync(3)
+            gateway.page_sync(0, 3)
+            gateway.rank_of(next(iter(base.articles)))
+        counter = obs.metrics.counter("repro_gateway_queries_total",
                                       labels=("outcome",))
-        assert counter.value(outcome="served") == 2
+        assert counter.value(outcome="merged") == 3
+        assert obs.metrics.histogram(
+            "repro_gateway_read_latency_seconds").count() == 3
 
     def test_shed_when_gate_full(self, stream):
         base, _ = stream
         obs = Observability("serve-test")
-        service = make_service(base, obs=obs,
-                               gate=AdmissionGate(max_inflight=1))
-        with service.read_session():
-            with pytest.raises(OverloadError):
-                service.top(3)
-        counter = obs.metrics.counter("repro_serve_requests_total",
-                                      labels=("outcome",))
-        assert counter.value(outcome="shed") == 1
-        assert obs.metrics.counter("repro_serve_shed_total").value() == 1
-        assert service.health()["requests_shed_total"] == 1
-        # Capacity recovered once the session closed.
-        assert service.top(3).epoch == 0
+        with make_gateway(base, obs=obs, max_inflight=1) as gateway:
+            with hold_slot(gateway):
+                with pytest.raises(OverloadError):
+                    gateway.top_sync(3)
+            counter = obs.metrics.counter("repro_gateway_queries_total",
+                                          labels=("outcome",))
+            assert counter.value(outcome="shed") == 1
+            assert obs.metrics.counter(
+                "repro_gateway_shed_total").value() == 1
+            assert gateway.health()["shards"][0][
+                "requests_shed_total"] == 1
+            # Capacity recovered once the slot was released.
+            assert gateway.top_sync(3).epoch == 0
 
 
 class TestUpdatePath:
@@ -212,9 +227,8 @@ class TestUpdatePath:
         assert health["status"] == "stale"
         assert health["batches_behind"] == 2
         assert service.readiness()["degraded"] is True
-        # Reads still serve the last good epoch.
-        assert service.top(3).epoch == 0
-        assert service.top(3).batches_behind == 2
+        # The last good epoch stays published.
+        assert service.snapshot().epoch == 0
 
 
 class TestObservabilityWiring:
@@ -233,20 +247,21 @@ class TestObservabilityWiring:
     def test_trace_reads_opt_in(self, stream):
         base, _ = stream
         obs = Observability("serve-test")
-        service = make_service(base, obs=obs, trace_reads=True)
-        service.top(3)
+        with make_gateway(base, obs=obs, trace_reads=True) as gateway:
+            gateway.top_sync(3)
         read_spans = [span for span in obs.tracer.export()
-                      if span["name"] == "serve.read"]
+                      if span["name"] == "gateway.read"]
         assert len(read_spans) == 1
-        assert read_spans[0]["attributes"]["epoch"] == 0
+        assert read_spans[0]["attributes"]["op"] == "top"
+        assert read_spans[0]["attributes"]["board_epoch"] == 0
 
     def test_reads_not_traced_by_default(self, stream):
         base, _ = stream
         obs = Observability("serve-test")
-        service = make_service(base, obs=obs)
-        service.top(3)
+        with make_gateway(base, obs=obs) as gateway:
+            gateway.top_sync(3)
         assert not [span for span in obs.tracer.export()
-                    if span["name"] == "serve.read"]
+                    if span["name"] == "gateway.read"]
 
     def test_quarantine_event_and_counter(self, stream):
         base, batches = stream

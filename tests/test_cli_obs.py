@@ -29,7 +29,7 @@ def bundle_path(tmp_path_factory):
     with obs.span("ingest.run"):
         with obs.span("ingest.batch", articles=3):
             obs.event("ingest.quarantine", offset=7, error="bad id")
-    obs.metrics.counter("repro_serve_requests_total").inc(10)
+    obs.metrics.counter("repro_gateway_queries_total").inc(10)
     recorder.record_health({"status": "degraded",
                             "degraded_shards": [1]})
     bundle = recorder.capture(
@@ -73,7 +73,7 @@ class TestOfflineBundleRendering:
     def test_profile_bundle(self, bundle_path, capsys):
         assert main(["profile", "--bundle", str(bundle_path)]) == 0
         out = capsys.readouterr().out
-        assert "repro_serve_requests_total" in out
+        assert "repro_gateway_queries_total" in out
         assert "BREACH" in out
 
     def test_missing_bundle_is_clean_error(self, tmp_path, capsys):
