@@ -21,6 +21,7 @@ from repro.data.generator import (
 )
 from repro.data.ground_truth import GroundTruth, build_ground_truth
 from repro.data.schema import ScholarlyDataset
+from repro.core.columns import ArticleColumns
 from repro.core.model import ArticleRanker
 from repro.graph.csr import CSRGraph
 from repro.ranking import (
@@ -78,31 +79,24 @@ def compute_baseline_scores(dataset: ScholarlyDataset
     (heterogeneous co-ranking) and Rescaled PageRank (age-normalized).
     """
     graph = dataset.citation_csr()
-    years = dataset.article_years(graph)
+    columns = ArticleColumns.from_dataset(dataset)
+    years = columns.years
     observation = int(years.max())
-    ids = [int(i) for i in graph.node_ids]
+    ids = graph.node_ids.tolist()
 
     def by_id(vector: np.ndarray) -> Dict[int, float]:
-        return {article_id: float(score)
-                for article_id, score in zip(ids, vector)}
+        return dict(zip(ids, np.asarray(vector, dtype=float).tolist()))
 
     ranker = ArticleRanker()
     full = ranker.rank(dataset)
 
-    author_index = {a: i for i, a in enumerate(sorted(dataset.authors))}
-    author_lists = [
-        [author_index[a] for a in dataset.articles[article_id].author_ids]
-        for article_id in ids
-    ]
-    future_scores, _ = futurerank(graph, author_lists, len(author_index),
+    num_authors = len(columns.author_ids)
+    author_lists = np.split(columns.author_of, columns.author_indptr[1:-1])
+    future_scores, _ = futurerank(graph, author_lists, num_authors,
                                   years, observation)
-
-    venue_index = {v: i for i, v in enumerate(sorted(dataset.venues))}
-    venue_of = np.asarray(
-        [venue_index.get(dataset.articles[article_id].venue_id, -1)
-         for article_id in ids], dtype=np.int64)
-    prank_scores, _, _ = prank(graph, author_lists, len(author_index),
-                               venue_of, max(len(venue_index), 1))
+    prank_scores, _, _ = prank(graph, author_lists, num_authors,
+                               columns.venue_of,
+                               max(len(columns.venue_ids), 1))
 
     return {
         "QISAR": full.by_id(),

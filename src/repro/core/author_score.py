@@ -14,9 +14,58 @@ from typing import Dict, Mapping
 import numpy as np
 
 from repro.errors import ConfigError, DatasetError
+from repro.core.columns import ArticleColumns
 from repro.data.schema import ScholarlyDataset
 
 _MODES = ("mean", "sum", "max")
+
+
+def _authorships(columns: ArticleColumns) -> np.ndarray:
+    """``columns.author_of``, every entry a known author."""
+    authors = columns.author_of
+    if authors.size and authors.min() < 0:
+        row = np.searchsorted(columns.author_indptr,
+                              int(np.argmin(authors)), side="right") - 1
+        raise DatasetError(f"article {columns.article_ids[row]} "
+                           f"references unknown author")
+    return authors
+
+
+def aggregate_by_author(columns: ArticleColumns, importance: np.ndarray,
+                        mode: str = "mean") -> np.ndarray:
+    """Article ``importance`` (aligned with ``columns.article_ids``)
+    aggregated per author, aligned with ``columns.author_ids``; authors
+    with no articles score 0."""
+    if mode not in _MODES:
+        raise ConfigError(f"unknown mode {mode!r}; choose from {_MODES}")
+    authors = _authorships(columns)
+    num_authors = len(columns.author_ids)
+    weights = np.repeat(np.asarray(importance, dtype=np.float64),
+                        np.diff(columns.author_indptr))
+    if mode == "max":
+        totals = np.zeros(num_authors, dtype=np.float64)
+        np.maximum.at(totals, authors, weights)
+        return totals
+    totals = np.bincount(authors, weights=weights, minlength=num_authors)
+    if mode == "mean":
+        counts = np.bincount(authors, minlength=num_authors)
+        totals = np.where(counts > 0, totals / np.maximum(counts, 1), 0.0)
+    return totals
+
+
+def team_feature(columns: ArticleColumns, scores: np.ndarray) -> np.ndarray:
+    """Mean author score (``scores`` aligned with ``columns.author_ids``)
+    per article. Articles without authors get the mean feature of the
+    rest, so the blend stays unbiased for them."""
+    sizes = np.diff(columns.author_indptr)
+    rows = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+    sums = np.bincount(rows, weights=scores[_authorships(columns)],
+                       minlength=len(sizes))
+    values = np.where(sizes > 0, sums / np.maximum(sizes, 1), 0.0)
+    missing = sizes == 0
+    if np.any(missing) and np.any(~missing):
+        values[missing] = float(values[~missing].mean())
+    return values
 
 
 def author_importance(dataset: ScholarlyDataset,
@@ -33,69 +82,13 @@ def author_importance(dataset: ScholarlyDataset,
     Returns:
         author id -> importance; authors with no articles score 0.
     """
-    if mode not in _MODES:
-        raise ConfigError(f"unknown mode {mode!r}; choose from {_MODES}")
-    author_ids = sorted(dataset.authors)
-    position_of = {author_id: i for i, author_id in enumerate(author_ids)}
-    num_authors = len(author_ids)
-
-    # Flatten the authorship relation once, then aggregate vectorized.
-    author_positions = []
-    values = []
-    for article in dataset.articles.values():
-        try:
-            value = float(article_importance[article.id])
-        except KeyError:
-            raise DatasetError(
-                f"article {article.id} missing from importance map"
-            ) from None
-        for author_id in article.author_ids:
-            position = position_of.get(author_id)
-            if position is None:
-                raise DatasetError(
-                    f"article {article.id} references unknown author "
-                    f"{author_id}")
-            author_positions.append(position)
-            values.append(value)
-
-    positions = np.asarray(author_positions, dtype=np.int64)
-    weights = np.asarray(values, dtype=np.float64)
-    if mode == "max":
-        totals = np.zeros(num_authors, dtype=np.float64)
-        np.maximum.at(totals, positions, weights)
-    else:
-        totals = np.bincount(positions, weights=weights,
-                             minlength=num_authors)
-        if mode == "mean":
-            counts = np.bincount(positions, minlength=num_authors)
-            totals = np.where(counts > 0,
-                              totals / np.maximum(counts, 1), 0.0)
-    return {author_id: float(totals[i])
-            for i, author_id in enumerate(author_ids)}
-
-
-def article_author_feature(dataset: ScholarlyDataset,
-                           author_scores: Mapping[int, float],
-                           node_ids: np.ndarray) -> np.ndarray:
-    """Mean author importance per article, aligned with ``node_ids``.
-
-    Articles without authors get the dataset-wide mean feature so the
-    blend stays unbiased for them.
-    """
-    n = len(node_ids)
-    node_positions = []
-    team_scores = []
-    for position, article_id in enumerate(node_ids):
-        for author_id in dataset.articles[int(article_id)].author_ids:
-            node_positions.append(position)
-            team_scores.append(float(author_scores[author_id]))
-    positions = np.asarray(node_positions, dtype=np.int64)
-    sums = np.bincount(positions,
-                       weights=np.asarray(team_scores, dtype=np.float64),
-                       minlength=n)
-    counts = np.bincount(positions, minlength=n)
-    values = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-    missing = counts == 0
-    if np.any(missing) and np.any(~missing):
-        values[missing] = float(values[~missing].mean())
-    return values
+    columns = ArticleColumns.from_dataset(dataset)
+    try:
+        importance = [article_importance[article_id]
+                      for article_id in columns.article_ids.tolist()]
+    except KeyError as exc:
+        raise DatasetError(f"article {exc.args[0]} missing from "
+                           f"importance map") from None
+    return dict(zip(columns.author_ids.tolist(),
+                    aggregate_by_author(columns, importance,
+                                        mode).tolist()))

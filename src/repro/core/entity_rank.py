@@ -17,10 +17,11 @@ import numpy as np
 from repro.errors import ConfigError, DatasetError
 from repro.data.schema import ScholarlyDataset
 from repro.core.author_score import author_importance
+from repro.core.columns import ArticleColumns
 from repro.core.importance import combine_importance
 from repro.core.model import ArticleRanker, RankerConfig
 from repro.core.time_weight import exponential_decay
-from repro.core.venue_graph import build_venue_graph, venue_popularity
+from repro.core.venue_graph import aggregate_venues
 from repro.ranking.pagerank import pagerank
 
 
@@ -68,14 +69,14 @@ class EntityRanker:
         observation = config.observation_year \
             if config.observation_year is not None else max_year
 
-        prestige_kernel = exponential_decay(config.prestige_decay)
-        venue_graph = build_venue_graph(dataset, decay=prestige_kernel)
+        venue_graph, popularity = aggregate_venues(
+            dataset.citation_csr(), ArticleColumns.from_dataset(dataset),
+            exponential_decay(config.prestige_decay),
+            observation_year=observation,
+            popularity_decay=exponential_decay(config.popularity_decay))
         prestige = pagerank(venue_graph.graph, damping=config.damping,
                             tol=config.tol,
                             max_iter=config.max_iter).scores
-        popularity = venue_popularity(
-            dataset, observation,
-            exponential_decay(config.popularity_decay), venue_graph)
         scores = combine_importance(prestige, popularity,
                                     theta=config.theta,
                                     normalization=config.normalization)
@@ -100,13 +101,10 @@ class EntityRanker:
                 dataset).by_id()
         author_scores = author_importance(dataset, article_scores,
                                           mode=self.config.author_mode)
-        entity_ids = np.asarray(sorted(author_scores), dtype=np.int64)
-        scores = np.asarray([author_scores[int(a)] for a in entity_ids])
-        productivity = np.zeros(len(entity_ids), dtype=np.float64)
-        position_of = {int(a): i for i, a in enumerate(entity_ids)}
-        for article in dataset.articles.values():
-            for author_id in article.author_ids:
-                productivity[position_of[author_id]] += 1.0
+        columns = ArticleColumns.from_dataset(dataset)
         return EntityRanking(
-            kind="author", entity_ids=entity_ids, scores=scores,
-            components={"productivity": productivity})
+            kind="author", entity_ids=columns.author_ids,
+            scores=np.fromiter(author_scores.values(), dtype=np.float64),
+            components={"productivity": np.bincount(
+                columns.author_of, minlength=len(columns.author_ids)
+            ).astype(np.float64)})

@@ -60,16 +60,13 @@ def normalize_scores(scores: np.ndarray, method: str = "sum") -> np.ndarray:
     if peak > 0:
         values = np.round(values / peak, 9)
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    ranks[order] = np.arange(len(values), dtype=np.float64)
-    # Average tied groups.
     sorted_values = values[order]
-    start = 0
-    for stop in range(1, len(values) + 1):
-        if stop == len(values) or sorted_values[stop] != sorted_values[start]:
-            mean_rank = 0.5 * (start + stop - 1)
-            ranks[order[start:stop]] = mean_rank
-            start = stop
+    # Tied runs share their average rank.
+    starts = np.flatnonzero(np.concatenate(
+        ([True], sorted_values[1:] != sorted_values[:-1])))
+    stops = np.append(starts[1:], len(values))
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + stops - 1), stops - starts)
     if len(values) == 1:
         return np.ones(1)
     return ranks / (len(values) - 1)

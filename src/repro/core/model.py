@@ -24,12 +24,13 @@ import numpy as np
 
 from repro.errors import ConfigError, DatasetError
 from repro.data.schema import ScholarlyDataset
-from repro.core.author_score import article_author_feature, author_importance
+from repro.core.author_score import aggregate_by_author, team_feature
+from repro.core.columns import ArticleColumns
 from repro.core.importance import combine_importance, normalize_scores
 from repro.core.popularity import popularity_scores
 from repro.core.time_weight import exponential_decay
 from repro.core.twpr import time_weighted_pagerank
-from repro.core.venue_graph import build_venue_graph, venue_popularity
+from repro.core.venue_graph import aggregate_venues
 from repro.ranking.pagerank import pagerank
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -129,8 +130,7 @@ class RankingResult:
 
     def by_id(self) -> Dict[int, float]:
         """Scores keyed by article id."""
-        return {int(node): float(score)
-                for node, score in zip(self.node_ids, self.scores)}
+        return dict(zip(self.node_ids.tolist(), self.scores.tolist()))
 
     def top(self, k: int = 10) -> List[Tuple[int, float]]:
         """Highest-scored ``(article_id, score)`` pairs, ties by id."""
@@ -180,23 +180,17 @@ class ArticleRanker:
             with (obs.span("rank.build_graph") if obs is not None
                   else nullcontext()):
                 graph = dataset.citation_csr()
-                years = dataset.article_years(graph)
+                columns = ArticleColumns.from_dataset(dataset)
             _stage_observed(obs, timings, "build_graph",
                             clock() - stage_start)
-            _, max_year = dataset.year_range()
-            observation = config.observation_year \
-                if config.observation_year is not None else max_year
-            if observation < max_year:
-                raise ConfigError(
-                    f"observation_year {observation} precedes newest "
-                    f"article ({max_year}); slice the dataset instead")
+            observation = self._observation_year(columns.years)
 
             diagnostics: Dict[str, object] = {"timings": timings}
 
             stage_start = clock()
             prestige_kernel = exponential_decay(config.prestige_decay)
             twpr = time_weighted_pagerank(
-                graph, years, decay=prestige_kernel,
+                graph, columns.years, decay=prestige_kernel,
                 damping=config.damping, tol=config.tol,
                 max_iter=config.max_iter, method=config.solver,
                 telemetry=telemetry, obs=obs)
@@ -206,13 +200,26 @@ class ArticleRanker:
             diagnostics["twpr_method"] = twpr.method
             diagnostics["twpr_converged"] = twpr.converged
 
-            return self._assemble(dataset, graph, years, observation,
+            return self._assemble(graph, columns, observation,
                                   twpr.scores, diagnostics, timings,
                                   obs=obs)
+
+    def _observation_year(self, years: np.ndarray) -> int:
+        """"Today" for every decay: configured, else the newest article."""
+        max_year = int(years.max())
+        observation = self.config.observation_year
+        if observation is None:
+            return max_year
+        if observation < max_year:
+            raise ConfigError(
+                f"observation_year {observation} precedes newest article "
+                f"({max_year}); slice the dataset instead")
+        return observation
 
     def rank_with_prestige(self, dataset: ScholarlyDataset,
                            prestige,
                            graph=None,
+                           columns: Optional[ArticleColumns] = None,
                            obs: Optional["Observability"] = None
                            ) -> RankingResult:
         """Assemble the full model around *externally supplied* prestige.
@@ -225,8 +232,9 @@ class ArticleRanker:
         :class:`repro.engine.incremental.IncrementalEngine`), and this
         method performs only the linear-time stages — popularity, venue
         and author importance, and the final blend. ``graph`` may supply
-        a pre-built citation CSR (canonical ascending-id node order) to
-        skip the rebuild — the live pipeline already maintains one.
+        a pre-built citation CSR (canonical ascending-id node order) and
+        ``columns`` the :class:`ArticleColumns` aligned with it: the live
+        pipeline maintains both, which leaves this method pure numpy.
         """
         if dataset.num_articles == 0:
             raise DatasetError("cannot rank an empty dataset")
@@ -236,15 +244,12 @@ class ArticleRanker:
         stage_start = clock()
         if graph is None:
             graph = dataset.citation_csr()
-        years = dataset.article_years(graph)
+        if columns is None:
+            columns = ArticleColumns.from_dataset(dataset)
+        if len(columns.article_ids) != graph.num_nodes:
+            raise ConfigError("columns must align with the graph")
         timings["build_graph"] = clock() - stage_start
-        _, max_year = dataset.year_range()
-        observation = config.observation_year \
-            if config.observation_year is not None else max_year
-        if observation < max_year:
-            raise ConfigError(
-                f"observation_year {observation} precedes newest article "
-                f"({max_year}); slice the dataset instead")
+        observation = self._observation_year(columns.years)
         if isinstance(prestige, np.ndarray):
             if prestige.shape != (graph.num_nodes,):
                 raise ConfigError(
@@ -262,11 +267,11 @@ class ArticleRanker:
                 ) from None
         diagnostics: Dict[str, object] = {"timings": timings,
                                           "prestige_source": "external"}
-        return self._assemble(dataset, graph, years, observation,
+        return self._assemble(graph, columns, observation,
                               prestige_scores, diagnostics, timings,
                               obs=obs)
 
-    def _assemble(self, dataset: ScholarlyDataset, graph, years,
+    def _assemble(self, graph, columns: ArticleColumns,
                   observation: int, prestige_scores: np.ndarray,
                   diagnostics: Dict[str, object],
                   timings: Dict[str, float],
@@ -282,7 +287,8 @@ class ArticleRanker:
         with _span("rank.article_popularity"):
             popularity_kernel = exponential_decay(config.popularity_decay)
             article_popularity = popularity_scores(
-                graph, years, observation, decay=popularity_kernel,
+                graph, columns.years, observation,
+                decay=popularity_kernel,
                 self_boost=config.popularity_self_boost)
 
             article_importance = combine_importance(
@@ -294,12 +300,12 @@ class ArticleRanker:
         stage_start = clock()
         with _span("rank.venue"):
             venue_feature = self._venue_feature(
-                dataset, graph, observation, diagnostics)
+                graph, columns, observation, diagnostics)
         _stage_observed(obs, timings, "venue", clock() - stage_start)
         stage_start = clock()
         with _span("rank.author"):
             author_feature = self._author_feature(
-                dataset, graph, article_importance)
+                columns, article_importance)
         _stage_observed(obs, timings, "author", clock() - stage_start)
 
         stage_start = clock()
@@ -330,54 +336,39 @@ class ArticleRanker:
     # ------------------------------------------------------------------
     # components
 
-    def _venue_feature(self, dataset: ScholarlyDataset, graph,
-                       observation: int,
+    def _venue_feature(self, graph, columns: ArticleColumns, observation: int,
                        diagnostics: Dict[str, object]) -> np.ndarray:
         """Per-article venue importance (dataset mean for venue-less)."""
         config = self.config
-        if dataset.num_venues == 0 or config.weight_venue == 0:
+        if len(columns.venue_ids) == 0 or config.weight_venue == 0:
             diagnostics["venue_iterations"] = 0
+            diagnostics["venue_converged"] = True  # nothing to converge
             return np.zeros(graph.num_nodes)
 
-        kernel = exponential_decay(config.prestige_decay)
-        venue_graph = build_venue_graph(dataset, decay=kernel,
-                                        graph=graph)
+        venue_graph, venue_pop = aggregate_venues(
+            graph, columns, exponential_decay(config.prestige_decay),
+            observation_year=observation,
+            popularity_decay=exponential_decay(config.popularity_decay))
         venue_prestige_result = pagerank(
             venue_graph.graph, damping=config.damping, tol=config.tol,
             max_iter=config.max_iter)
         diagnostics["venue_iterations"] = venue_prestige_result.iterations
         diagnostics["venue_converged"] = venue_prestige_result.converged
-        popularity_kernel = exponential_decay(config.popularity_decay)
-        venue_pop = venue_popularity(dataset, observation,
-                                     popularity_kernel, venue_graph,
-                                     graph=graph)
         venue_importance = combine_importance(
             venue_prestige_result.scores, venue_pop, theta=config.theta,
             normalization=config.normalization)
 
-        feature = np.zeros(graph.num_nodes)
-        missing = []
-        for position, article_id in enumerate(graph.node_ids):
-            venue_id = dataset.articles[int(article_id)].venue_id
-            if venue_id is None:
-                missing.append(position)
-            else:
-                feature[position] = venue_importance[
-                    venue_graph.venue_index(venue_id)]
-        if missing:
-            present = np.delete(feature, missing)
-            feature[missing] = float(present.mean()) if len(present) else 0.0
+        has_venue = columns.venue_of >= 0
+        feature = venue_importance[columns.venue_of]
+        if not has_venue.all():
+            feature[~has_venue] = float(feature[has_venue].mean()) \
+                if has_venue.any() else 0.0
         return feature
 
-    def _author_feature(self, dataset: ScholarlyDataset, graph,
+    def _author_feature(self, columns: ArticleColumns,
                         article_importance: np.ndarray) -> np.ndarray:
         """Per-article mean author importance."""
-        if dataset.num_authors == 0 or self.config.weight_author == 0:
-            return np.zeros(graph.num_nodes)
-        importance_by_id = {
-            int(node): float(value)
-            for node, value in zip(graph.node_ids, article_importance)}
-        author_scores = author_importance(
-            dataset, importance_by_id, mode=self.config.author_mode)
-        return article_author_feature(dataset, author_scores,
-                                      graph.node_ids)
+        if len(columns.author_ids) == 0 or self.config.weight_author == 0:
+            return np.zeros(len(article_importance))
+        return team_feature(columns, aggregate_by_author(
+            columns, article_importance, mode=self.config.author_mode))

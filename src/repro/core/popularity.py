@@ -51,10 +51,10 @@ def popularity_scores(graph: CSRGraph, years: np.ndarray,
     if self_boost < 0:
         raise ConfigError("self_boost must be non-negative")
 
-    src_idx, dst_idx, _ = graph.edge_array()
-    contributions = np.asarray(decay(age[src_idx]), dtype=np.float64)
-    scores = np.bincount(dst_idx, weights=contributions,
-                         minlength=graph.num_nodes)
+    citing_age = np.repeat(age, graph.out_degrees())
+    scores = np.bincount(
+        graph.indices, minlength=graph.num_nodes,
+        weights=np.asarray(decay(citing_age), dtype=np.float64))
     if self_boost > 0:
         scores += self_boost * np.asarray(decay(age), dtype=np.float64)
     return scores

@@ -7,8 +7,9 @@ time-weighted at the *article* level before aggregation — a venue whose
 articles keep citing another venue's fresh output transfers more prestige
 than one citing its decades-old archive.
 
-Aggregation is vectorized over the article CSR (it runs on every batch of
-the live ranking pipeline, so it must stay linear-time numpy work).
+Aggregation is numpy over the article CSR and the article columns — it
+runs on every batch of the live ranking pipeline, so no step may walk
+the dataset.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from repro.errors import DatasetError
 from repro.graph.csr import CSRGraph
 from repro.data.schema import ScholarlyDataset
+from repro.core.columns import ArticleColumns
 from repro.core.time_weight import TimeDecay
 
 
@@ -29,8 +31,8 @@ class VenueGraph:
     """Aggregated venue-level citation graph.
 
     Attributes:
-        graph: CSR over venue ids; edge weights are (optionally decayed)
-            citation aggregates.
+        graph: CSR over venue ids (ascending); edge weights are
+            (optionally decayed) citation aggregates.
         citation_counts: raw (undecayed) aggregate per edge, aligned with
             ``graph`` edges — kept for diagnostics and ablations.
     """
@@ -42,20 +44,61 @@ class VenueGraph:
         return self.graph.index_of(venue_id)
 
 
-def _article_arrays(dataset: ScholarlyDataset,
-                    graph: Optional[CSRGraph]
-                    ) -> Tuple[CSRGraph, np.ndarray, np.ndarray,
-                               np.ndarray]:
-    """Citation CSR plus per-node years and venue *indices* (-1 = none)."""
-    if graph is None:
-        graph = dataset.citation_csr()
-    years = dataset.article_years(graph)
-    venue_ids = sorted(dataset.venues)
-    index_of_venue = {venue: i for i, venue in enumerate(venue_ids)}
-    venue_of = np.asarray(
-        [index_of_venue.get(dataset.articles[int(node)].venue_id, -1)
-         for node in graph.node_ids], dtype=np.int64)
-    return graph, years, venue_of, np.asarray(venue_ids, dtype=np.int64)
+def aggregate_venues(graph: CSRGraph, columns: ArticleColumns,
+                     decay: Optional[TimeDecay] = None,
+                     include_self_loops: bool = False,
+                     observation_year: Optional[int] = None,
+                     popularity_decay: Optional[TimeDecay] = None
+                     ) -> Tuple[VenueGraph, Optional[np.ndarray]]:
+    """The venue graph of ``graph`` (node-aligned with ``columns``) and,
+    given ``observation_year``, each venue's popularity — one pass over
+    the citation edges for both.
+
+    Citations aggregate by ``bincount`` on ``src_venue * V + dst_venue``
+    (a dense ``V * V`` accumulator, added to in edge order); no edge
+    array is compacted on the way.
+    """
+    num_venues = len(columns.venue_ids)
+    if num_venues == 0:
+        raise DatasetError("dataset has no venues")
+    years = columns.years
+    out_degree = graph.out_degrees()
+    src_year = np.repeat(years, out_degree)
+    src_venue = np.repeat(columns.venue_of, out_degree)
+    dst_venue = columns.venue_of[graph.indices]
+    popularity = None
+    if observation_year is not None:
+        if np.any(years > observation_year):
+            raise DatasetError("observation_year precedes a publication")
+        # Bin 0 collects the citations of venue-less articles (-1).
+        popularity = np.bincount(
+            dst_venue + 1, minlength=num_venues + 1,
+            weights=np.asarray(popularity_decay(
+                (observation_year - src_year).astype(np.float64)),
+                dtype=np.float64))[1:]
+
+    keep = (src_venue >= 0) & (dst_venue >= 0)
+    if not include_self_loops:
+        keep &= src_venue != dst_venue
+    # Dropped citations land in one spare bin past the V * V pairs.
+    key = np.where(keep, src_venue * num_venues + dst_venue,
+                   num_venues * num_venues)
+    counts = np.bincount(key, minlength=num_venues * num_venues + 1)[:-1]
+    pairs = np.flatnonzero(counts)  # ascending (src, dst) = CSR order
+    citation_counts = counts[pairs].astype(np.float64)
+    weights = citation_counts
+    if decay is not None:
+        gap = np.maximum(
+            (src_year - years[graph.indices]).astype(np.float64), 0.0)
+        weights = np.bincount(
+            key, weights=np.asarray(decay(gap), dtype=np.float64),
+            minlength=len(counts) + 1)[pairs]
+    indptr = np.zeros(num_venues + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs // num_venues, minlength=num_venues),
+              out=indptr[1:])
+    venue_graph = CSRGraph(indptr, pairs % num_venues, weights,
+                           columns.venue_ids)
+    return VenueGraph(venue_graph, citation_counts), popularity
 
 
 def build_venue_graph(dataset: ScholarlyDataset,
@@ -74,73 +117,25 @@ def build_venue_graph(dataset: ScholarlyDataset,
         graph: optional pre-built citation CSR of ``dataset`` (skips the
             rebuild; node order must be the canonical ascending-id one).
     """
-    if dataset.num_venues == 0:
-        raise DatasetError("dataset has no venues")
-
-    graph, years, venue_of, venue_ids = _article_arrays(dataset, graph)
-    num_venues = len(venue_ids)
-    src_idx, dst_idx, _ = graph.edge_array()
-    src_venue = venue_of[src_idx]
-    dst_venue = venue_of[dst_idx]
-    keep = (src_venue >= 0) & (dst_venue >= 0)
-    if not include_self_loops:
-        keep &= src_venue != dst_venue
-
-    src_venue = src_venue[keep]
-    dst_venue = dst_venue[keep]
-    if decay is not None:
-        gap = np.maximum(
-            (years[src_idx[keep]] - years[dst_idx[keep]]).astype(
-                np.float64), 0.0)
-        edge_weight = np.asarray(decay(gap), dtype=np.float64)
-    else:
-        edge_weight = np.ones(len(src_venue), dtype=np.float64)
-
-    key = src_venue * num_venues + dst_venue
-    unique_keys, inverse = np.unique(key, return_inverse=True)
-    weights = np.bincount(inverse, weights=edge_weight,
-                          minlength=len(unique_keys))
-    counts = np.bincount(inverse, minlength=len(unique_keys)).astype(
-        np.float64)
-
-    pair_src = (unique_keys // num_venues).astype(np.int64)
-    pair_dst = (unique_keys % num_venues).astype(np.int64)
-    venue_graph = CSRGraph.from_edges(
-        [(int(venue_ids[u]), int(venue_ids[v]))
-         for u, v in zip(pair_src, pair_dst)],
-        nodes=venue_ids.tolist(),
-        weights=weights.tolist())
-
-    # CSRGraph.from_edges sorts edges by source (stable), preserving the
-    # order of `unique_keys` (already sorted by (src, dst)), so the raw
-    # counts align with the assembled edge order directly.
-    return VenueGraph(graph=venue_graph, citation_counts=counts)
+    if graph is None:
+        graph = dataset.citation_csr()
+    return aggregate_venues(graph, ArticleColumns.from_dataset(dataset),
+                            decay, include_self_loops)[0]
 
 
 def venue_popularity(dataset: ScholarlyDataset, observation_year: int,
                      decay: TimeDecay,
-                     venue_graph: VenueGraph,
+                     venue_graph: Optional[VenueGraph] = None,
                      graph: Optional[CSRGraph] = None) -> np.ndarray:
     """Decayed count of citations received by each venue's articles.
 
-    Aligned with ``venue_graph.graph`` node indices. Each citation into
-    the venue contributes ``decay(T - t(citing))`` — same semantics as
-    article popularity, aggregated per cited venue.
+    Aligned with ascending venue id (the node order of every
+    :class:`VenueGraph`, so ``venue_graph`` is not consulted). Each
+    citation into the venue contributes ``decay(T - t(citing))`` — same
+    semantics as article popularity, aggregated per cited venue.
     """
-    graph, years, venue_of, venue_ids = _article_arrays(dataset, graph)
-    if np.any(years > observation_year):
-        raise DatasetError("observation_year precedes a publication")
-    src_idx, dst_idx, _ = graph.edge_array()
-    dst_venue = venue_of[dst_idx]
-    keep = dst_venue >= 0
-    contributions = np.asarray(
-        decay((observation_year - years[src_idx[keep]]).astype(
-            np.float64)), dtype=np.float64)
-    scores = np.bincount(dst_venue[keep], weights=contributions,
-                         minlength=len(venue_ids))
-    # venue_graph may index venues identically (both use ascending venue
-    # id); realign defensively through the id mapping anyway.
-    aligned = np.zeros(venue_graph.graph.num_nodes, dtype=np.float64)
-    for position, venue_id in enumerate(venue_ids):
-        aligned[venue_graph.venue_index(int(venue_id))] = scores[position]
-    return aligned
+    if graph is None:
+        graph = dataset.citation_csr()
+    return aggregate_venues(graph, ArticleColumns.from_dataset(dataset),
+                            observation_year=observation_year,
+                            popularity_decay=decay)[1]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
@@ -32,6 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 from repro.errors import ConfigError
 from repro.data.schema import ScholarlyDataset
+from repro.core.columns import ArticleColumns, positions_in
 from repro.core.time_weight import TimeDecay, exponential_decay
 from repro.core.twpr import (
     time_weight_edges,
@@ -123,7 +125,9 @@ class IncrementalEngine:
             if obs is not None else nullcontext()
         with bootstrap_span:
             self.graph = dataset.citation_csr()
-            self.years = dataset.article_years(self.graph)
+            # Derived from the dataset, so rebuilt (not checkpointed).
+            self.columns = ArticleColumns.from_dataset(dataset)
+            self.years = self.columns.years
             self._edge_weights = time_weight_edges(self.graph, self.years,
                                                    self.decay)
             initial = time_weighted_pagerank(
@@ -135,8 +139,7 @@ class IncrementalEngine:
 
     def scores_by_id(self) -> Dict[int, float]:
         """Current prestige keyed by article id."""
-        return {int(node): float(score)
-                for node, score in zip(self.graph.node_ids, self.scores)}
+        return dict(zip(self.graph.node_ids.tolist(), self.scores.tolist()))
 
     def apply(self, batch: UpdateBatch) -> IncrementalReport:
         """Apply one arrival batch, re-solving only the affected area.
@@ -166,31 +169,20 @@ class IncrementalEngine:
 
         self.dataset = apply_update(self.dataset, batch)
         appended = self._append_graph(batch)
-        if appended is None:
+        if appended is None:  # ids out of order: rebuild from the dataset
             graph = self.dataset.citation_csr()
-            years = self.dataset.article_years(graph)
-            weights = time_weight_edges(graph, years, self.decay)
-            old_index = {int(node): i
-                         for i, node in enumerate(self.graph.node_ids)}
-            transferred = np.full(graph.num_nodes,
-                                  1.0 / graph.num_nodes)
-            new_positions = []
-            scale = old_n / graph.num_nodes
-            for position, node in enumerate(graph.node_ids):
-                old_position = old_index.get(int(node))
-                if old_position is None:
-                    new_positions.append(position)
-                else:
-                    transferred[position] = \
-                        old_scores[old_position] * scale
-            new_nodes = np.asarray(new_positions, dtype=np.int64)
-            changed_sources = np.zeros(0, dtype=np.int64)
-            scores = transferred
-        else:
-            graph, years, weights, new_nodes, changed_sources = appended
-            n = graph.num_nodes
-            scores = np.full(n, 1.0 / n, dtype=np.float64)
-            scores[:old_n] = old_scores * (old_n / n)
+            columns = ArticleColumns.from_dataset(self.dataset)
+            appended = (graph, columns,
+                        time_weight_edges(graph, columns.years, self.decay),
+                        np.flatnonzero(positions_in(
+                            self.graph.node_ids, graph.node_ids) < 0),
+                        np.zeros(0, dtype=np.int64))
+        graph, columns, weights, new_nodes, changed_sources = appended
+        n = graph.num_nodes
+        scores = np.full(n, 1.0 / n, dtype=np.float64)
+        # Both node orders ascend by id, so old scores keep their order.
+        scores[np.delete(np.arange(n), new_nodes)] = \
+            old_scores * (old_n / n)
 
         affected = self._discover_affected(graph, weights, scores,
                                            new_nodes, changed_sources)
@@ -198,7 +190,8 @@ class IncrementalEngine:
             graph, weights, scores, affected.nodes)
 
         self.graph = graph
-        self.years = years
+        self.columns = columns
+        self.years = columns.years
         self._edge_weights = weights
         self.scores = scores
         seconds = time.perf_counter() - start
@@ -225,138 +218,101 @@ class IncrementalEngine:
             num_nodes=graph.num_nodes, num_edges=graph.num_edges)
 
     def _append_graph(self, batch: UpdateBatch):
-        """Extend the CSR without a Python-level full rebuild.
+        """Extend the CSR and the article columns without a rebuild.
 
-        Pure article arrivals append rows in O(batch); citation
-        insertions between existing articles re-sort the combined edge
-        arrays in numpy (O(m log m), still far cheaper than rebuilding
-        from the dataset). Returns ``None`` when article ids arrive out
-        of order (the caller then rebuilds from the dataset), otherwise
-        ``(graph, years, edge_time_weights, new_node_indices,
+        Article arrivals append rows in O(batch) Python (ids resolve by
+        ``searchsorted``); citation insertions between existing
+        articles re-sort the combined edge arrays in numpy (O(m log m),
+        still far cheaper than rebuilding from the dataset). Returns
+        ``None`` when article ids arrive out of order, otherwise
+        ``(graph, columns, edge_time_weights, new_node_indices,
         changed_source_indices)``.
         """
         empty = np.zeros(0, dtype=np.int64)
         if not batch.articles and not batch.citations:
-            return (self.graph, self.years, self._edge_weights,
+            return (self.graph, self.columns, self._edge_weights,
                     empty, empty)
         # The graph is about to change shape (append, merge, or the
         # caller's full rebuild on None): drop the structure cache now
         # so the superseded arrays don't stay alive behind it.
         self._structure_cache = None
-        old_n = self.graph.num_nodes
-        max_old = int(self.graph.node_ids[-1]) if old_n else -1
-        new_articles = sorted(batch.articles, key=lambda a: a.id)
-        if new_articles and new_articles[0].id <= max_old:
+        columns = self.columns.appended(
+            batch.articles, (venue.id for venue in batch.venues),
+            (author.id for author in batch.authors))
+        if columns is None:
             return None
+        old_n = self.graph.num_nodes
+        node_ids, years = columns.article_ids, columns.years
+        new_nodes = np.arange(old_n, len(node_ids), dtype=np.int64)
 
-        index_of: Dict[int, int] = {
-            int(node): i for i, node in enumerate(self.graph.node_ids)}
-        for offset, article in enumerate(new_articles):
-            index_of[article.id] = old_n + offset
+        def time_weights(sources: np.ndarray, targets: np.ndarray):
+            gap = np.maximum(years[sources] - years[targets], 0)
+            return np.asarray(self.decay(gap.astype(np.float64)),
+                              dtype=np.float64)
 
-        def edge_weight(citing_year: int, cited_id: int) -> float:
-            cited_year = self.dataset.articles[cited_id].year
-            gap = np.asarray([max(citing_year - cited_year, 0)],
-                             dtype=np.float64)
-            return float(self.decay(gap)[0])
-
-        new_rows = []
-        new_targets = []
-        new_weights = []
-        for article in new_articles:
-            row = []
-            row_weights = []
-            for ref in article.references:
-                target = index_of.get(ref)
-                if target is None or ref == article.id:
-                    continue
-                row.append(target)
-                row_weights.append(edge_weight(article.year, ref))
-            new_rows.append(row)
-            new_targets.extend(row)
-            new_weights.extend(row_weights)
-
-        node_ids = np.concatenate([
-            self.graph.node_ids,
-            np.asarray([a.id for a in new_articles], dtype=np.int64)])
-        years = np.concatenate([
-            self.years,
-            np.asarray([a.year for a in new_articles], dtype=np.int64)])
-        new_nodes = np.arange(old_n, old_n + len(new_articles),
-                              dtype=np.int64)
-        new_counts = [len(row) for row in new_rows]
-
+        # ``batch.articles`` in id order = the rows of ``new_nodes``.
+        references = [article.references for article in sorted(
+            batch.articles, key=lambda article: article.id)]
+        sizes = np.fromiter(map(len, references), dtype=np.int64,
+                            count=len(references))
+        new_sources = np.repeat(new_nodes, sizes)
+        new_targets = positions_in(node_ids, np.fromiter(
+            chain.from_iterable(references), dtype=np.int64,
+            count=int(sizes.sum())))
+        resolved = (new_targets >= 0) & (new_targets != new_sources)
+        new_sources = new_sources[resolved]
+        new_targets = new_targets[resolved]
+        graph = CSRGraph(
+            np.concatenate([self.graph.indptr, self.graph.indptr[-1]
+                            + np.cumsum(np.bincount(
+                                new_sources - old_n,
+                                minlength=len(new_nodes)))]),
+            np.concatenate([self.graph.indices, new_targets]),
+            np.concatenate([self.graph.weights,
+                            np.ones(len(new_targets))]),
+            node_ids)
+        weights = np.concatenate([
+            self._edge_weights, time_weights(new_sources, new_targets)])
         if not batch.citations:
-            indptr = np.concatenate([
-                self.graph.indptr,
-                self.graph.indptr[-1] + np.cumsum(new_counts)])
-            indices = np.concatenate([
-                self.graph.indices,
-                np.asarray(new_targets, dtype=np.int64)])
-            ones = np.ones(len(new_targets), dtype=np.float64)
-            graph = CSRGraph(indptr, indices,
-                             np.concatenate([self.graph.weights, ones]),
-                             node_ids)
-            weights = np.concatenate([
-                self._edge_weights,
-                np.asarray(new_weights, dtype=np.float64)])
-            return graph, years, weights, new_nodes, empty
+            return graph, columns, weights, new_nodes, empty
 
-        # Citation insertions touch existing rows: merge edge arrays and
-        # re-sort by source (numpy-level, no per-article Python work).
-        inserted_src = []
-        inserted_dst = []
-        inserted_weights = []
-        changed = set()
-        existing_targets: Dict[int, set] = {}
-        for citing, cited in batch.citations:
-            source = index_of.get(citing)
-            target = index_of.get(cited)
-            if source is None or target is None or citing == cited:
+        # Citation insertions touch existing rows: merge them into the
+        # appended graph and re-sort by source (numpy-level, no
+        # per-article Python work).
+        pairs = np.asarray(batch.citations, dtype=np.int64).reshape(-1, 2)
+        inserted = []
+        known_targets: Dict[int, set] = {}
+        for source, target in zip(
+                positions_in(node_ids, pairs[:, 0]).tolist(),
+                positions_in(node_ids, pairs[:, 1]).tolist()):
+            if source < 0 or target < 0 or source == target:
                 continue
             # A pair the citing article already holds — in the graph,
             # in its own arriving reference list, or earlier in this
             # batch — is a no-op, as it is for the dataset.
-            known = existing_targets.get(source)
+            known = known_targets.get(source)
             if known is None:
-                known = existing_targets[source] = set(
-                    self.graph.neighbors(source).tolist()
-                    if source < old_n else new_rows[source - old_n])
-            if target in known:
-                continue
-            known.add(target)
-            if source < old_n:
-                changed.add(source)
-            citing_year = self.dataset.articles[citing].year
-            inserted_src.append(source)
-            inserted_dst.append(target)
-            inserted_weights.append(edge_weight(citing_year, cited))
+                known = known_targets[source] = set(
+                    graph.neighbors(source).tolist())
+            if target not in known:
+                known.add(target)
+                inserted.append((source, target))
+        inserted_src, inserted_dst = np.asarray(
+            inserted, dtype=np.int64).reshape(-1, 2).T
 
-        n = old_n + len(new_articles)
-        old_src, old_dst, old_graph_weights = self.graph.edge_array()
-        appended_src = np.repeat(new_nodes, new_counts) \
-            if new_articles else empty
-        src = np.concatenate([old_src, appended_src,
-                              np.asarray(inserted_src, dtype=np.int64)])
-        dst = np.concatenate([old_dst,
-                              np.asarray(new_targets, dtype=np.int64),
-                              np.asarray(inserted_dst, dtype=np.int64)])
-        graph_weights = np.concatenate([
-            old_graph_weights,
-            np.ones(len(new_targets) + len(inserted_src))])
-        time_weights = np.concatenate([
-            self._edge_weights,
-            np.asarray(new_weights, dtype=np.float64),
-            np.asarray(inserted_weights, dtype=np.float64)])
-
+        src = np.concatenate([graph.edge_array()[0], inserted_src])
         order = np.argsort(src, kind="stable")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        graph = CSRGraph(indptr, dst[order], graph_weights[order],
-                         node_ids)
-        changed_sources = np.asarray(sorted(changed), dtype=np.int64)
-        return (graph, years, time_weights[order], new_nodes,
-                changed_sources)
+        indptr = np.zeros(len(node_ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=len(node_ids)),
+                  out=indptr[1:])
+        merged = CSRGraph(
+            indptr, np.concatenate([graph.indices, inserted_dst])[order],
+            np.concatenate([graph.weights,
+                            np.ones(len(inserted_src))])[order], node_ids)
+        weights = np.concatenate([
+            weights, time_weights(inserted_src, inserted_dst)])[order]
+        return (merged, columns, weights, new_nodes,
+                np.unique(inserted_src[inserted_src < old_n]))
 
     # ------------------------------------------------------------------
     # derived edge structure (shared by discovery and re-solve)

@@ -115,9 +115,7 @@ class LiveRanker:
             max_iter=self.config.max_iter,
             telemetry=telemetry,
             obs=obs)
-        self._result = self._ranker.rank_with_prestige(
-            dataset, self._engine.scores, graph=self._engine.graph,
-            obs=obs)
+        self._result = self._assemble()
         self._batches_applied = 0
         self._checkpoint_dir = None if checkpoint_dir is None \
             else Path(checkpoint_dir)
@@ -157,6 +155,14 @@ class LiveRanker:
         count of the rotation this session resumed from)."""
         return self._batches_applied
 
+    def _assemble(self) -> RankingResult:
+        """The full model around the engine's prestige — its graph and
+        columns go along, so nothing here walks the dataset."""
+        engine = self._engine
+        return self._ranker.rank_with_prestige(
+            engine.dataset, engine.scores, graph=engine.graph,
+            columns=engine.columns, obs=self._obs)
+
     def apply(self, batch: UpdateBatch
               ) -> Tuple[RankingResult, IncrementalReport]:
         """Ingest one batch; return the refreshed ranking and a report."""
@@ -166,9 +172,7 @@ class LiveRanker:
             self._unsaved += (tuple(record_lines(
                 batch.venues, batch.authors, batch.articles,
                 batch.citations, known=before)),)
-        self._result = self._ranker.rank_with_prestige(
-            self._engine.dataset, self._engine.scores,
-            graph=self._engine.graph, obs=self._obs)
+        self._result = self._assemble()
         self._batches_applied += 1
         if (self._checkpoint_every
                 and self._batches_applied % self._checkpoint_every == 0):
@@ -299,8 +303,7 @@ class LiveRanker:
         engine.obs = obs
         live._obs = obs
         live._engine = engine
-        live._result = live._ranker.rank_with_prestige(
-            engine.dataset, engine.scores, graph=engine.graph, obs=obs)
+        live._result = live._assemble()
         live._batches_applied = int(
             _ROTATION_PATTERN.match(recovered.name).group(1))
         live._checkpoint_dir = directory

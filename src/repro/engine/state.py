@@ -38,6 +38,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from repro.errors import StorageError
+from repro.core.columns import ArticleColumns
 from repro.core.time_weight import exponential_decay
 from repro.data.io import read_dataset_jsonl, save_dataset_jsonl
 from repro.data.schema import ScholarlyDataset
@@ -341,6 +342,7 @@ def load_engine(directory: PathLike) -> IncrementalEngine:
     engine.obs = None
     engine._structure_cache = None
     engine.dataset = dataset
+    engine.columns = ArticleColumns.from_dataset(dataset)  # derived
     engine.graph = graph
     engine.years = years
     engine.scores = scores

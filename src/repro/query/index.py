@@ -7,18 +7,22 @@ score: global top-k, filtered top-k (venue, author, year range),
 pagination, and per-article rank/percentile lookups.
 
 All reads are O(k + log n) against immutable numpy arrays; rebuilding
-after a re-rank is one constructor call.
+after a re-rank is one constructor call, numpy sorts over
+:class:`~repro.core.columns.ArticleColumns` with no per-article Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import (Dict, Iterator, List, Mapping, Optional, Tuple,
+                    Union)
 
 import numpy as np
 
 from repro.errors import ConfigError, NodeNotFoundError
+from repro.core.columns import ArticleColumns, positions_in
 from repro.data.schema import ScholarlyDataset
+from repro.graph.toposort import ragged_offsets
 
 
 @dataclass(frozen=True)
@@ -32,66 +36,74 @@ class RankEntry:
     title: str
 
 
+def _postings(keys: np.ndarray, positions: np.ndarray,
+              table: np.ndarray) -> Dict[int, np.ndarray]:
+    """``table[key]`` -> the ``positions`` carrying ``key``, for every
+    key in use (``-1`` is no key).
+
+    ``positions`` ascend and the sort is stable, so every list ascends
+    too: filtered iteration stays best-first and filter intersection
+    may assume sorted unique input. The lists are views of one array.
+    """
+    keyed = keys >= 0
+    keys, positions = keys[keyed], positions[keyed]
+    grouped = positions[np.argsort(keys, kind="stable")]
+    sizes = np.bincount(keys, minlength=len(table))
+    stops = np.cumsum(sizes)
+    used = np.flatnonzero(sizes)
+    return dict(zip(table[used].tolist(), map(
+        grouped.__getitem__,
+        map(slice, (stops - sizes)[used].tolist(), stops[used].tolist()))))
+
+
 class RankIndex:
     """Immutable serving index over one ranking of one dataset."""
 
     def __init__(self, dataset: ScholarlyDataset,
-                 scores: Mapping[int, float]) -> None:
+                 scores: Union[Mapping[int, float], np.ndarray],
+                 ids: Optional[np.ndarray] = None,
+                 columns: Optional[ArticleColumns] = None) -> None:
         """Build the index.
 
-        ``scores`` must cover every article of ``dataset`` (extra ids are
-        rejected too — a mismatched ranking is a bug worth failing on).
+        ``scores`` is a mapping article id -> score, or a float array
+        aligned with the id array ``ids``; it must cover exactly the
+        articles of ``dataset`` (a mismatched ranking is a bug worth
+        failing on). ``columns`` are the dataset's :class:`ArticleColumns`
+        where the caller maintains them (a shard does), else built here.
         """
-        score_ids = np.fromiter(scores.keys(), dtype=np.int64,
-                                count=len(scores))
-        article_ids = np.fromiter(dataset.articles.keys(),
-                                  dtype=np.int64,
-                                  count=len(dataset.articles))
-        if score_ids.shape != article_ids.shape or \
-                np.setxor1d(score_ids, article_ids).size:
+        if ids is None:
+            ids = np.fromiter(scores.keys(), dtype=np.int64,
+                              count=len(scores))
+            scores = np.fromiter(scores.values(), dtype=np.float64,
+                                 count=len(ids))
+        if columns is None:
+            columns = ArticleColumns.from_articles(
+                dataset.articles.values())
+        order = np.lexsort((ids, -scores))
+        rows = positions_in(columns.article_ids, ids)[order]
+        self._dataset = dataset
+        self._ids = ids[order]
+        self._scores = scores[order]
+        self._rank_of: Dict[int, int] = dict(zip(self._ids.tolist(),
+                                                 range(len(ids))))
+        if not len(ids) == len(self._rank_of) == len(columns.article_ids) \
+                or (rows < 0).any():
             raise ConfigError(
                 "scores must cover exactly the dataset's articles")
-        self._dataset = dataset
-        score_order = np.argsort(score_ids, kind="stable")
-        ids = score_ids[score_order]
-        values = np.fromiter(scores.values(), dtype=np.float64,
-                             count=len(scores))[score_order]
-        order = np.lexsort((ids, -values))
-        self._ids = ids[order]
-        self._scores = values[order]
-        years = np.fromiter(
-            (article.year for article in dataset.articles.values()),
-            dtype=np.int64, count=len(dataset.articles))
-        article_order = np.argsort(article_ids, kind="stable")
-        # years aligned to sorted ids, then reordered by score like ids.
-        self._years = years[article_order][order]
-        self._rank_of: Dict[int, int] = {
-            int(article_id): position
-            for position, article_id in enumerate(self._ids)}
+        self._years = columns.years[rows]
         # Sort keys for binary search in global order (-score, id):
         # used by the sharded gateway to turn a shard-local hit into a
         # global rank without shipping whole rankings.
         self._neg_scores = -self._scores
 
-        venue_lists: Dict[int, List[int]] = {}
-        author_lists: Dict[int, List[int]] = {}
-        for position, article_id in enumerate(self._ids):
-            article = dataset.articles[int(article_id)]
-            if article.venue_id is not None:
-                venue_lists.setdefault(article.venue_id,
-                                       []).append(position)
-            for author_id in article.author_ids:
-                author_lists.setdefault(author_id,
-                                        []).append(position)
-        # Positions are appended in score order, i.e. already sorted
-        # ascending — which both keeps filtered iteration best-first and
-        # lets filter intersection use assume_unique sorted-set numpy.
-        self._by_venue: Dict[int, np.ndarray] = {
-            venue: np.asarray(positions, dtype=np.int64)
-            for venue, positions in venue_lists.items()}
-        self._by_author: Dict[int, np.ndarray] = {
-            author: np.asarray(positions, dtype=np.int64)
-            for author, positions in author_lists.items()}
+        teams = np.diff(columns.author_indptr)[rows]
+        authorships = np.repeat(columns.author_indptr[:-1][rows], teams) \
+            + ragged_offsets(teams)
+        self._by_venue = _postings(columns.venue_of[rows],
+                                   np.arange(len(rows)), columns.venue_ids)
+        self._by_author = _postings(
+            columns.author_of[authorships],
+            np.repeat(np.arange(len(rows)), teams), columns.author_ids)
 
     # ------------------------------------------------------------------
     # lookups
@@ -152,6 +164,8 @@ class RankIndex:
         """
         if k <= 0:
             raise ConfigError("k must be positive")
+        if venue_id is None and author_id is None and year_range is None:
+            return self._slice(0, k)
         results: List[RankEntry] = []
         for rank, position in enumerate(
                 self._filtered_positions(venue_id, author_id, year_range),
@@ -165,9 +179,17 @@ class RankIndex:
         """Global ranking slice ``[offset, offset+limit)`` (0-based)."""
         if offset < 0 or limit <= 0:
             raise ConfigError("offset must be >= 0 and limit positive")
-        stop = min(offset + limit, len(self._ids))
-        return [self._entry(position, position + 1)
-                for position in range(offset, stop)]
+        return self._slice(offset, offset + limit)
+
+    def _slice(self, start: int, stop: int) -> List[RankEntry]:
+        """Unfiltered entries ``[start, stop)``, one ``tolist`` each."""
+        articles = self._dataset.articles
+        return [RankEntry(rank, article_id, score,
+                          articles[article_id].year,
+                          articles[article_id].title)
+                for rank, (article_id, score) in enumerate(
+                    zip(self._ids[start:stop].tolist(),
+                        self._scores[start:stop].tolist()), start + 1)]
 
     def _filtered_positions(self, venue_id: Optional[int],
                             author_id: Optional[int],

@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.errors import (ConfigError, OverloadError, ServeError,
                           ShardUnavailableError)
+from repro.core.columns import positions_in
 from repro.data.schema import Article
 from repro.engine.shm import ScoreBoardWriter
 from repro.obs.handle import maybe_span
@@ -159,15 +160,17 @@ class ShardedGateway:
             else max(4 * len(articles), 4096)
         self._writer = ScoreBoardWriter(capacity)
         self._board_epoch = -1
-        self._published_ids: List[int] = []
-        self._published_set: set = set()
+        #: article ids in board slot order (append-only).
+        self._board_ids = np.zeros(0, dtype=np.int64)
         self._last_published_snapshot = None
 
-        # Cumulative per-shard ownership: the source of truth for
-        # respawns and for delta metadata sync before each refresh.
+        # Cumulative per-shard ownership (the source of truth for
+        # respawns) and the arrivals each shard has yet to absorb.
         self._owned: List[Dict[int, Article]] = [
             {} for _ in range(num_shards)]
-        self._synced: List[set] = [set() for _ in range(num_shards)]
+        self._unsynced: List[List[Article]] = [
+            [] for _ in range(num_shards)]
+        #: (shard, epoch) -> attempts, for the current board epoch.
         self._refresh_attempts: Dict[Tuple[int, int], int] = {}
         self._shard_status: List[Dict[str, object]] = [
             {"shard": shard, "status": "fresh"}
@@ -189,7 +192,7 @@ class ShardedGateway:
     def _spawn(self, shard: int) -> ShardHandle:
         spec = ShardSpec(shard=shard, num_shards=self.num_shards)
         articles = list(self._owned[shard].values())
-        self._synced[shard] = set(self._owned[shard])
+        self._unsynced[shard] = []
         if self.mode == "inline":
             return InlineShardHandle(spec, self._writer.layout, articles,
                                      self._shard_config)
@@ -231,46 +234,43 @@ class ShardedGateway:
         with maybe_span(self._obs, "gateway.publish",
                         service_epoch=snapshot.epoch,
                         board_epoch=self._board_epoch + 1):
-            self._publish_board(snapshot)
-            self._partition_new_articles()
-            self._sync_shards()
+            self._partition_new_articles(self._publish_board(snapshot))
+            for shard in range(self.num_shards):
+                self._shard_status[shard] = self._refresh_shard(shard)
 
-    def _publish_board(self, snapshot) -> None:
-        by_id = snapshot.ranking.by_id()
-        new_ids = [article_id for article_id in by_id
-                   if article_id not in self._published_set]
-        order = self._published_ids + new_ids
-        if len(order) != len(by_id):
+    def _publish_board(self, snapshot) -> np.ndarray:
+        """Write the snapshot's scores in board slot order; returns the
+        ids that took new slots."""
+        node_ids, scores = snapshot.ranking.node_ids, snapshot.ranking.scores
+        slots = positions_in(node_ids, self._board_ids)
+        if (slots < 0).any():
             # Articles are never removed; a shrink means the snapshot
             # and the board disagree about the corpus.
             raise ServeError(
                 f"published corpus shrank: board has "
-                f"{len(self._published_ids)} ids, snapshot has "
-                f"{len(by_id)}")
-        scores = np.fromiter((by_id[article_id] for article_id in order),
-                             dtype=np.float64, count=len(order))
+                f"{len(self._board_ids)} ids, snapshot has "
+                f"{len(node_ids)}")
+        slots = np.concatenate([  # board order, then the arrivals
+            slots, np.delete(np.arange(len(node_ids)), slots)])
         epoch = self._board_epoch + 1
         try:
-            self._writer.publish(
-                np.asarray(order, dtype=np.int64), scores, epoch)
+            self._writer.publish(node_ids[slots], scores[slots], epoch)
         except ValueError as exc:
             raise ServeError(f"score board publish failed: {exc}") \
                 from exc
         self._board_epoch = epoch
-        self._published_ids = order
-        self._published_set.update(new_ids)
+        self._refresh_attempts.clear()  # they counted the old epoch
+        new_ids = node_ids[slots[len(self._board_ids):]]
+        self._board_ids = node_ids[slots]
         self._last_published_snapshot = snapshot
+        return new_ids
 
-    def _partition_new_articles(self) -> None:
-        dataset = self._service._live.dataset
-        for article_id, article in dataset.articles.items():
+    def _partition_new_articles(self, new_ids: np.ndarray) -> None:
+        articles = self._service._live.dataset.articles
+        for article_id in new_ids.tolist():
             shard = shard_of(article_id, self.num_shards)
-            if article_id not in self._owned[shard]:
-                self._owned[shard][article_id] = article
-
-    def _sync_shards(self) -> None:
-        for shard in range(self.num_shards):
-            self._shard_status[shard] = self._refresh_shard(shard)
+            self._owned[shard][article_id] = articles[article_id]
+            self._unsynced[shard].append(articles[article_id])
 
     def _refresh_shard(self, shard: int) -> Dict[str, object]:
         """Delta-sync metadata and refresh one shard to the board
@@ -299,13 +299,9 @@ class ShardedGateway:
             self._refresh_attempts[key] = attempt + 1
             handle = self._handles[shard]
             try:
-                delta = [self._owned[shard][article_id]
-                         for article_id in self._owned[shard]
-                         if article_id not in self._synced[shard]]
-                if delta:
-                    handle.call("absorb", articles=delta)
-                    self._synced[shard].update(
-                        article.id for article in delta)
+                if self._unsynced[shard]:
+                    handle.call("absorb", articles=self._unsynced[shard])
+                    self._unsynced[shard] = []
                 report = handle.call("refresh", epoch=epoch,
                                      attempt=attempt)
             except ShardUnavailableError as exc:

@@ -96,8 +96,7 @@ def validate_candidate(policy: GuardrailPolicy,
     node_ids = np.asarray(candidate.node_ids, dtype=np.int64)
     article_ids = np.fromiter(dataset.articles.keys(), dtype=np.int64,
                               count=len(dataset.articles))
-    if node_ids.size != article_ids.size \
-            or np.setxor1d(node_ids, article_ids).size:
+    if not _same_ids(node_ids, article_ids):
         violations.append(
             f"coverage mismatch: ranking has {node_ids.size} articles, "
             f"dataset has {article_ids.size}")
@@ -123,6 +122,13 @@ def validate_candidate(policy: GuardrailPolicy,
                         f"top-{k} churn {churn:.0%} exceeds bound "
                         f"{policy.max_churn:.0%}")
     return violations
+
+
+def _same_ids(ids: np.ndarray, expected: np.ndarray) -> bool:
+    """Same id set? (Same order, the common case, needs no sort.)"""
+    return ids.size == expected.size and (
+        np.array_equal(ids, expected)
+        or not np.setxor1d(ids, expected).size)
 
 
 def _mass_drift(policy: GuardrailPolicy, prev_scores: np.ndarray,
@@ -182,8 +188,7 @@ def validate_shard_slice(policy: GuardrailPolicy,
             f"{scores.size} scores")
         return violations
 
-    if ids.size != expected_ids.size \
-            or np.setxor1d(ids, expected_ids).size:
+    if not _same_ids(ids, expected_ids):
         violations.append(
             f"shard coverage mismatch: slice has {ids.size} articles, "
             f"shard owns {expected_ids.size}")

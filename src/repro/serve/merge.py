@@ -16,7 +16,6 @@ positions in the merged list, matching ``RankIndex.top`` /
 from __future__ import annotations
 
 import heapq
-from dataclasses import replace
 from itertools import islice
 from typing import Iterable, Iterator, List
 
@@ -41,7 +40,8 @@ def merge_top_entries(shard_entries: Iterable[List[RankEntry]],
     """
     if k <= 0:
         raise ConfigError("k must be positive")
-    return [replace(entry, rank=rank)
+    return [RankEntry(rank, entry.article_id, entry.score, entry.year,
+                      entry.title)
             for rank, entry in enumerate(islice(_merged(shard_entries), k),
                                          start=1)]
 
@@ -57,5 +57,6 @@ def merge_page_entries(shard_entries: Iterable[List[RankEntry]],
     if offset < 0 or limit <= 0:
         raise ConfigError("offset must be >= 0 and limit positive")
     window = islice(_merged(shard_entries), offset, offset + limit)
-    return [replace(entry, rank=offset + position + 1)
-            for position, entry in enumerate(window)]
+    return [RankEntry(rank, entry.article_id, entry.score, entry.year,
+                      entry.title)
+            for rank, entry in enumerate(window, start=offset + 1)]

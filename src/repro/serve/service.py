@@ -80,8 +80,8 @@ class _EngineGuard:
     through and left the attributes mutually inconsistent.
     """
 
-    _ENGINE_ATTRS = ("dataset", "graph", "years", "_edge_weights",
-                     "scores", "_structure_cache")
+    _ENGINE_ATTRS = ("dataset", "graph", "columns", "years",
+                     "_edge_weights", "scores", "_structure_cache")
     #: ``_sealed`` / ``_unsaved``: a vetoed batch must leave the corpus
     #: log's next append exactly as a batch that never arrived.
     _LIVE_ATTRS = ("_result", "_batches_applied", "_sealed", "_unsaved")

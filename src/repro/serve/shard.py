@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError, ServeError, ShardUnavailableError
+from repro.core.columns import ArticleColumns
 from repro.data.schema import Article, ScholarlyDataset
 from repro.engine.shm import ScoreBoardReader, SegmentLayout
 from repro.query import RankEntry, RankIndex
@@ -132,6 +133,7 @@ class ShardServer:
             failure_threshold=config.failure_threshold, **breaker_kwargs)
         self._fault_plan = config.fault_plan
         self._dataset = ScholarlyDataset(name=f"shard-{spec.shard}")
+        self._columns = ArticleColumns.from_articles(())
         self.absorb(articles)
         self._reader: Optional[ScoreBoardReader] = None
         self._snapshot: Optional[ShardSnapshot] = None
@@ -152,16 +154,21 @@ class ShardServer:
         shard does not own are rejected loudly — a misrouted article
         means the gateway and the shard disagree about the partition.
         """
-        absorbed = 0
+        owned = self._dataset.articles
+        arrived = []
         for article in articles:
             if not self.spec.owns(article.id):
                 raise ServeError(
                     f"article {article.id} does not belong to shard "
                     f"{self.spec.shard}/{self.spec.num_shards}")
-            if article.id not in self._dataset.articles:
-                self._dataset.articles[article.id] = article
-                absorbed += 1
-        return absorbed
+            if article.id not in owned:
+                owned[article.id] = article
+                arrived.append(article)
+        if arrived:
+            # None (ids out of order) forces the one walk.
+            self._columns = self._columns.appended(arrived) \
+                or ArticleColumns.from_articles(owned.values())
+        return len(arrived)
 
     def refresh(self, epoch: int, attempt: int = 0) -> Dict[str, object]:
         """Refresh the shard snapshot from the score board.
@@ -193,12 +200,9 @@ class ShardServer:
             if fault is not None and fault.kind == "poison":
                 slice_scores = slice_scores.copy()
                 slice_scores[:: max(1, slice_scores.size // 5)] = np.nan
-            expected = np.fromiter(self._dataset.articles.keys(),
-                                   dtype=np.int64,
-                                   count=len(self._dataset.articles))
             violations = validate_shard_slice(
-                self._guardrails, expected, slice_ids, slice_scores,
-                previous_scores=self._last_scores)
+                self._guardrails, self._columns.article_ids, slice_ids,
+                slice_scores, previous_scores=self._last_scores)
         except InjectedCrash:
             raise
         except Exception as exc:  # noqa: BLE001 - refresh firewall
@@ -218,9 +222,8 @@ class ShardServer:
                     "epoch": self._snapshot_epoch(),
                     "violations": violations,
                     "breaker": self._breaker.state}
-        index = RankIndex(self._dataset,
-                          dict(zip(slice_ids.tolist(),
-                                   slice_scores.tolist())))
+        index = RankIndex(self._dataset, slice_scores, ids=slice_ids,
+                          columns=self._columns)
         # One reference store — readers see old or new, never torn.
         self._snapshot = ShardSnapshot(index=index, epoch=board_epoch,
                                        refreshed_at=time.time())

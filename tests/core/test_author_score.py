@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, DatasetError
-from repro.core.author_score import (
-    article_author_feature,
-    author_importance,
-)
+from repro.core.author_score import author_importance, team_feature
+from repro.core.columns import ArticleColumns
 from repro.data.schema import Article, Author, ScholarlyDataset
 
 
@@ -59,12 +57,15 @@ class TestAuthorImportance:
 
 
 class TestArticleAuthorFeature:
+    """:func:`team_feature` over :class:`ArticleColumns` (the kernel
+    behind the model's author feature)."""
+
     def test_mean_over_team(self, tiny_dataset, importance_map):
         author_scores = author_importance(tiny_dataset, importance_map,
                                           "mean")
-        node_ids = np.array([0, 1, 2, 3, 4])
-        feature = article_author_feature(tiny_dataset, author_scores,
-                                         node_ids)
+        columns = ArticleColumns.from_dataset(tiny_dataset)
+        feature = team_feature(columns, np.array(
+            [author_scores[a] for a in columns.author_ids.tolist()]))
         # Article 1 authored by Ada and Bob.
         expected = (author_scores[0] + author_scores[1]) / 2
         assert feature[1] == pytest.approx(expected)
@@ -75,13 +76,14 @@ class TestArticleAuthorFeature:
         dataset.add_article(Article(id=0, title="a", year=2000,
                                     author_ids=(0,)))
         dataset.add_article(Article(id=1, title="b", year=2001))
-        feature = article_author_feature(dataset, {0: 0.7},
-                                         np.array([0, 1]))
+        feature = team_feature(ArticleColumns.from_dataset(dataset),
+                               np.array([0.7]))
         assert feature[0] == pytest.approx(0.7)
         assert feature[1] == pytest.approx(0.7)  # filled with mean
 
     def test_all_authorless(self):
         dataset = ScholarlyDataset()
         dataset.add_article(Article(id=0, title="a", year=2000))
-        feature = article_author_feature(dataset, {}, np.array([0]))
+        feature = team_feature(ArticleColumns.from_dataset(dataset),
+                               np.zeros(0))
         assert feature[0] == 0.0

@@ -171,6 +171,32 @@ class TestWorkCount:
             assert len(built) == 2 * num_shards
 
 
+    def test_refresh_attempt_counters_do_not_accumulate(
+            self, gateway_dataset):
+        """One counter per shard for the current board epoch; it used
+        to keep one per shard per publish, forever."""
+        plan = FaultPlan().poison_shard(1, epoch=20)
+        rng = random.Random(0)
+        base_ids = sorted(gateway_dataset.articles)
+        _, year = gateway_dataset.year_range()
+        with make_gateway(gateway_dataset, num_shards=3,
+                          fault_plan=plan,
+                          auto_respawn=False) as gateway:
+            for publish in range(50):
+                gateway.ingest(synthetic_batch(
+                    base_ids, base_ids[-1] + 1 + 2 * publish, 2, year,
+                    rng))
+                assert gateway.board_epoch == publish + 1
+                assert len(gateway._refresh_attempts) <= 3
+                if gateway.board_epoch == 20:
+                    # The scripted fault fired once; repair() retries
+                    # the same epoch past its budget, as before.
+                    assert gateway.health()["degraded_shards"] == [1]
+                    gateway.repair()
+                    assert gateway._refresh_attempts[1, 20] == 2
+                assert gateway.health()["status"] == "fresh"
+
+
 class TestPublishSpan:
     def test_refused_board_publish_marks_span_error(
             self, gateway_dataset):
