@@ -17,19 +17,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.data.schema import Article, ScholarlyDataset
+from repro.graph.csr import positions_in
 
 _NO_VENUE = np.iinfo(np.int64).min
-
-
-def positions_in(table: np.ndarray, values) -> np.ndarray:
-    """Index of each of ``values`` in the ascending ``table``, ``-1``
-    where it is absent."""
-    values = np.asarray(values, dtype=np.int64)
-    if not len(table):
-        return np.full(values.shape, -1, dtype=np.int64)
-    found = np.minimum(np.searchsorted(table, values), len(table) - 1)
-    found[table[found] != values] = -1
-    return found
 
 
 def _ints(values: Iterable[int], count: int = -1) -> np.ndarray:

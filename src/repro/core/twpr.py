@@ -94,7 +94,7 @@ def _level_operators(graph: CSRGraph, weights: np.ndarray
     transition-probability-weighted sum over its in-edges.
     """
     n = graph.num_nodes
-    src_idx, dst_idx, _ = graph.edge_array()
+    src_idx, dst_idx = graph.edge_sources(), graph.indices
     strengths = np.bincount(src_idx, weights=weights, minlength=n)
     dangling = strengths == 0.0
     probability = weights / np.where(dangling, 1.0, strengths)[src_idx]

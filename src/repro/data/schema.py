@@ -11,12 +11,13 @@ graphs, mirroring how the paper's datasets are preprocessed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import DatasetError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, positions_in
 from repro.graph.digraph import DiGraph
 
 
@@ -180,17 +181,30 @@ class ScholarlyDataset:
         Node index order is ascending article id, so aligned attribute
         arrays from :meth:`article_years` can be used directly.
         """
-        return CSRGraph.from_edges(self.citation_edges(),
-                                   nodes=sorted(self.articles))
+        ids = sorted(self.articles)
+        node_ids = np.asarray(ids, dtype=np.int64)
+        references = [self.articles[i].references for i in ids]
+        counts = np.fromiter(map(len, references), dtype=np.int64,
+                             count=len(ids))
+        cited = np.fromiter(chain.from_iterable(references),
+                            dtype=np.int64, count=int(counts.sum()))
+        citing = np.repeat(np.arange(len(ids), dtype=np.int64), counts)
+        # Grouped by citing article, reference-tuple order within: the
+        # CSR order. Drop dangling and self references.
+        indices = positions_in(node_ids, cited)
+        keep = (indices >= 0) & (indices != citing)
+        indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(citing[keep], minlength=len(ids)),
+                  out=indptr[1:])
+        indices = indices[keep]
+        return CSRGraph(indptr, indices, np.ones(len(indices)), node_ids)
 
     def article_years(self, graph: Optional[CSRGraph] = None) -> np.ndarray:
         """``int64[n]`` publication year aligned with CSR node indices."""
-        if graph is None:
-            ids = sorted(self.articles)
-        else:
-            ids = graph.node_ids.tolist()
-        return np.asarray([self.articles[i].year for i in ids],
-                          dtype=np.int64)
+        ids = graph.node_ids.tolist() if graph is not None \
+            else sorted(self.articles)
+        return np.fromiter((self.articles[i].year for i in ids),
+                           dtype=np.int64, count=len(ids))
 
     def article_qualities(self,
                           graph: Optional[CSRGraph] = None) -> np.ndarray:
@@ -201,14 +215,16 @@ class ScholarlyDataset:
         """
         ids = graph.node_ids.tolist() if graph is not None \
             else sorted(self.articles)
-        values = np.empty(len(ids), dtype=np.float64)
-        for pos, article_id in enumerate(ids):
-            quality = self.articles[article_id].quality
-            if quality is None:
+
+        def quality(article_id: int) -> float:
+            value = self.articles[article_id].quality
+            if value is None:
                 raise DatasetError(
                     f"article {article_id} has no latent quality")
-            values[pos] = quality
-        return values
+            return value
+
+        return np.fromiter(map(quality, ids), dtype=np.float64,
+                           count=len(ids))
 
     # ------------------------------------------------------------------
     # temporal slicing (dynamic-ranking experiments)

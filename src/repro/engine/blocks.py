@@ -111,43 +111,49 @@ def _block_operators(graph: CSRGraph, partition: Partition,
     n = graph.num_nodes
     weights = validate_edge_weights(graph, edge_weights)
 
-    src_idx, dst_idx, _ = graph.edge_array()
+    src_idx, dst_idx = graph.edge_sources(), graph.indices
     strengths = np.bincount(src_idx, weights=weights, minlength=n)
     dangling = strengths == 0.0
     probability = weights / np.where(dangling, 1.0, strengths)[src_idx]
 
-    assignment = partition.assignment
-    internal_mask = assignment[src_idx] == assignment[dst_idx]
-    cut_edges = int(np.count_nonzero(~internal_mask))
+    num_blocks = partition.num_blocks
+    src_block = partition.assignment[src_idx]
+    dst_block = partition.assignment[dst_idx]
+    cut = src_block != dst_block
+    cut_edges = int(np.count_nonzero(cut))
 
-    # Block-level dependency edges (dst_block <- src_block), deduplicated.
-    cut_src = assignment[src_idx[~internal_mask]]
-    cut_dst = assignment[dst_idx[~internal_mask]]
-    coupling = np.unique(np.stack([cut_dst, cut_src], axis=1), axis=0) \
-        if len(cut_src) else np.zeros((0, 2), dtype=np.int64)
+    # Block-level dependency edges (dst_block <- src_block), deduplicated
+    # on one integer key; ascending keys are ascending (dst, src) pairs.
+    coupling = np.unique(dst_block[cut] * num_blocks + src_block[cut])
+    source_blocks = np.split(coupling % num_blocks, np.searchsorted(
+        coupling // num_blocks, np.arange(1, num_blocks)))
 
-    members: List[np.ndarray] = []
+    members = [partition.members(block) for block in range(num_blocks)]
+    local_index = np.empty(n, dtype=np.int64)
+    for nodes in members:
+        local_index[nodes] = np.arange(len(nodes))
+    # One stable sort groups the edges by (destination block, internal
+    # before boundary) and keeps CSR edge order inside each group, so a
+    # block's operators are built from contiguous slices. The narrowest
+    # key dtype: numpy's stable sort is a linear radix sort up to 16 bits.
+    group = (2 * dst_block + cut).astype(np.min_scalar_type(2 * num_blocks))
+    order = np.argsort(group, kind="stable")
+    bounds = np.searchsorted(group[order], np.arange(2 * num_blocks + 1))
+    values, cols = probability[order], src_idx[order]
+    rows = local_index[dst_idx[order]]
+
     internal_ops: List[csr_matrix] = []
     boundary_ops: List[csr_matrix] = []
-    source_blocks: List[np.ndarray] = []
-    local_index = np.empty(n, dtype=np.int64)
-    for block in range(partition.num_blocks):
-        nodes = partition.members(block)
-        members.append(nodes)
-        local_index[nodes] = np.arange(len(nodes))
-        in_block_dst = assignment[dst_idx] == block
-        internal = in_block_dst & internal_mask
-        boundary = in_block_dst & ~internal_mask
+    for block, nodes in enumerate(members):
+        internal = slice(bounds[2 * block], bounds[2 * block + 1])
+        boundary = slice(bounds[2 * block + 1], bounds[2 * block + 2])
         internal_ops.append(csr_matrix(
-            (probability[internal],
-             (local_index[dst_idx[internal]],
-              local_index[src_idx[internal]])),
+            (values[internal],
+             (rows[internal], local_index[cols[internal]])),
             shape=(len(nodes), len(nodes))))
         boundary_ops.append(csr_matrix(
-            (probability[boundary],
-             (local_index[dst_idx[boundary]], src_idx[boundary])),
+            (values[boundary], (rows[boundary], cols[boundary])),
             shape=(len(nodes), n)))
-        source_blocks.append(coupling[coupling[:, 0] == block, 1])
     return BlockOperators(members, internal_ops, boundary_ops, dangling,
                           probability, cut_edges, source_blocks)
 

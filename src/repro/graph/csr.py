@@ -19,6 +19,17 @@ import numpy as np
 from repro.errors import GraphError, NodeNotFoundError
 
 
+def positions_in(table: np.ndarray, values) -> np.ndarray:
+    """Index of each of ``values`` in the ascending ``table``, ``-1``
+    where it is absent."""
+    values = np.asarray(values, dtype=np.int64)
+    if not len(table):
+        return np.full(values.shape, -1, dtype=np.int64)
+    found = np.minimum(np.searchsorted(table, values), len(table) - 1)
+    found[table[found] != values] = -1
+    return found
+
+
 class CSRGraph:
     """A frozen directed graph in CSR form.
 
@@ -62,34 +73,36 @@ class CSRGraph:
         index order); otherwise ids are collected from the edges in sorted
         order. ``weights`` aligns with ``edges`` and defaults to all ones.
         """
-        edge_list = list(edges)
-        if weights is not None:
-            weight_list = [float(w) for w in weights]
-            if len(weight_list) != len(edge_list):
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray)
+                           else list(edges), dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        elif pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise GraphError("edges must be (src, dst) pairs")
+        if weights is None:
+            weights = np.ones(len(pairs))
+        else:
+            weights = np.asarray(weights if isinstance(weights, np.ndarray)
+                                 else list(weights), dtype=np.float64)
+            if len(weights) != len(pairs):
                 raise GraphError("weights must align one-to-one with edges")
-        else:
-            weight_list = [1.0] * len(edge_list)
 
-        if nodes is not None:
+        endpoints = pairs.ravel()  # src0, dst0, src1, ...: the lookup order
+        if nodes is None:
+            node_ids, found = np.unique(endpoints, return_inverse=True)
+        else:
             node_ids = np.asarray(list(nodes), dtype=np.int64)
-            if len(np.unique(node_ids)) != len(node_ids):
+            order = np.argsort(node_ids, kind="stable")
+            sorted_ids = node_ids[order]
+            if np.any(sorted_ids[1:] == sorted_ids[:-1]):
                 raise GraphError("duplicate ids in explicit node list")
-        else:
-            seen = {u for u, _ in edge_list} | {v for _, v in edge_list}
-            node_ids = np.asarray(sorted(seen), dtype=np.int64)
-
-        id_to_index = {int(node): i for i, node in enumerate(node_ids)}
-        n = len(node_ids)
-        src_idx = np.empty(len(edge_list), dtype=np.int64)
-        dst_idx = np.empty(len(edge_list), dtype=np.int64)
-        for k, (u, v) in enumerate(edge_list):
-            try:
-                src_idx[k] = id_to_index[u]
-                dst_idx[k] = id_to_index[v]
-            except KeyError as exc:
-                raise NodeNotFoundError(int(exc.args[0])) from None
-        return cls._from_indexed(n, src_idx, dst_idx,
-                                 np.asarray(weight_list), node_ids)
+            found = positions_in(sorted_ids, endpoints)
+            missing = found < 0
+            if missing.any():
+                raise NodeNotFoundError(int(endpoints[missing.argmax()]))
+            found = order[found]
+        return cls._from_indexed(len(node_ids), found[0::2], found[1::2],
+                                 weights, node_ids)
 
     @classmethod
     def from_digraph(cls, graph) -> "CSRGraph":
@@ -161,9 +174,7 @@ class CSRGraph:
 
     def out_strengths(self) -> np.ndarray:
         """``float64[n]`` sum of outgoing edge weights per node."""
-        src = np.repeat(np.arange(self.num_nodes, dtype=np.int64),
-                        np.diff(self.indptr))
-        return np.bincount(src, weights=self.weights,
+        return np.bincount(self.edge_sources(), weights=self.weights,
                            minlength=self.num_nodes)
 
     # ------------------------------------------------------------------
@@ -172,20 +183,22 @@ class CSRGraph:
     def reverse(self) -> "CSRGraph":
         """Edge-reversed snapshot (cached). Node indexing is preserved."""
         if self._reverse is None:
-            n = self.num_nodes
-            src_of_edge = np.repeat(np.arange(n, dtype=np.int64),
-                                    np.diff(self.indptr))
-            rev = CSRGraph._from_indexed(n, self.indices, src_of_edge,
+            rev = CSRGraph._from_indexed(self.num_nodes, self.indices,
+                                         self.edge_sources(),
                                          self.weights, self.node_ids)
             rev._reverse = self
             self._reverse = rev
         return self._reverse
 
+    def edge_sources(self) -> np.ndarray:
+        """``int64[m]`` source node index of every edge, aligned with
+        :attr:`indices` (which holds the destinations)."""
+        return np.repeat(np.arange(self.num_nodes, dtype=np.int64),
+                         np.diff(self.indptr))
+
     def edge_array(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return ``(src_idx, dst_idx, weights)`` arrays for all edges."""
-        src = np.repeat(np.arange(self.num_nodes, dtype=np.int64),
-                        np.diff(self.indptr))
-        return src, self.indices.copy(), self.weights.copy()
+        return self.edge_sources(), self.indices.copy(), self.weights.copy()
 
     def to_scipy(self):
         """Return the adjacency as a ``scipy.sparse.csr_matrix``."""

@@ -74,9 +74,9 @@ class Partition:
 
     def edge_cut(self, graph: CSRGraph) -> int:
         """Number of edges whose endpoints lie in different blocks."""
-        src_idx, dst_idx, _ = graph.edge_array()
         return int(np.count_nonzero(
-            self.assignment[src_idx] != self.assignment[dst_idx]))
+            self.assignment[graph.edge_sources()]
+            != self.assignment[graph.indices]))
 
     def cut_fraction(self, graph: CSRGraph) -> float:
         """Edge cut as a fraction of all edges (0 for an empty graph)."""

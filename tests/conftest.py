@@ -6,11 +6,41 @@ the repo-root ``conftest.py`` so it also covers benchmark runs.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.data.generator import GeneratorConfig, generate_dataset
 from repro.data.schema import Article, Author, ScholarlyDataset, Venue
 from repro.graph.digraph import DiGraph
+
+
+def _count_opcodes(call) -> int:
+    """Interpreter opcodes executed (in Python frames) by ``call()``."""
+    executed = 0
+
+    def tracer(frame, event, arg):
+        nonlocal executed
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            executed += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return executed
+
+
+@pytest.fixture(scope="session")
+def count_opcodes():
+    """Clock-free work meter for the scaling gates: numpy kernels cost
+    a handful of opcodes whatever their size, a Python loop one batch
+    of opcodes per element."""
+    return _count_opcodes
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,13 @@
 """Schema and dataset-container tests."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.errors import DatasetError
 from repro.data.schema import Article, Author, ScholarlyDataset, Venue
+from repro.graph.csr import CSRGraph
 
 
 class TestEntities:
@@ -86,6 +90,16 @@ class TestValidation:
             dataset.check()
 
 
+def assert_same_csr(dataset):
+    built = dataset.citation_csr()
+    expected = CSRGraph.from_edges(dataset.citation_edges(),
+                                   nodes=sorted(dataset.articles))
+    for name in ("indptr", "indices", "weights", "node_ids"):
+        assert getattr(built, name).dtype == getattr(expected, name).dtype
+        assert np.array_equal(getattr(built, name),
+                              getattr(expected, name)), name
+
+
 class TestGraphViews:
     def test_citation_edges_direction(self, tiny_dataset):
         edges = set(tiny_dataset.citation_edges())
@@ -111,6 +125,37 @@ class TestGraphViews:
         graph = dataset.citation_graph()
         assert graph.num_edges == 1
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_citation_csr_equals_the_edge_list_build(self, seed):
+        """``citation_csr`` builds the arrays directly; the per-edge
+        route through ``citation_edges`` is the reference."""
+        rng = random.Random(seed)
+        ids = rng.sample(range(1000), 60)  # insertion order is shuffled
+        dataset = ScholarlyDataset()
+        for position, article_id in enumerate(ids):
+            references = rng.choices(ids + [5000, 5001, article_id],
+                                     k=rng.choice([0, 0, 1, 4, 9]))
+            if position % 7 == 0:  # duplicate references survive
+                references += references[:2]
+            dataset.add_article(Article(id=article_id, title="t",
+                                        year=2000, references=references))
+        assert_same_csr(dataset)
+        built = dataset.citation_csr()
+        assert built.num_edges == dataset.num_citations - sum(
+            a.references.count(a.id) for a in dataset.articles.values())
+        assert 0 < built.num_edges < sum(
+            len(a.references) for a in dataset.articles.values())
+
+    def test_citation_csr_without_edges_or_articles(self, tiny_dataset):
+        assert_same_csr(ScholarlyDataset())
+        assert_same_csr(tiny_dataset)
+        lonely = ScholarlyDataset()
+        lonely.add_article(Article(id=3, title="t", year=2000))
+        lonely.add_article(Article(id=1, title="t", year=2000,
+                                   references=(1, 77)))
+        assert_same_csr(lonely)
+        assert lonely.citation_csr().num_edges == 0
+
     def test_article_years_alignment(self, tiny_dataset):
         csr = tiny_dataset.citation_csr()
         years = tiny_dataset.article_years(csr)
@@ -124,7 +169,9 @@ class TestGraphViews:
     def test_missing_quality_raises(self):
         dataset = ScholarlyDataset()
         dataset.add_article(Article(id=1, title="a", year=2000))
-        with pytest.raises(DatasetError):
+        dataset.add_article(Article(id=0, title="b", year=2001,
+                                    quality=1.0))
+        with pytest.raises(DatasetError, match="article 1 has no"):
             dataset.article_qualities()
 
 

@@ -1,0 +1,120 @@
+"""Clock-free work gates: cold-path construction is grouped numpy.
+
+The two kernels the cold benchmark rows stand on — the block-operator
+build and the citation CSR — must not walk edges in Python, and the
+operator build must not rescan every edge once per block. Interpreter
+opcodes (``count_opcodes``, shared with the publish gate) see the
+first; the second is numpy work no opcode counts, so it is metered by
+the number of array elements that flow out of the partition assignment.
+"""
+
+import numpy as np
+import pytest
+
+from repro.data.generator import GeneratorConfig, generate_dataset
+from repro.engine.blocks import _block_operators
+from repro.graph.csr import CSRGraph
+from repro.graph.partition import range_partition
+
+from .test_block_operators import mask_block_operators
+
+SMALL, LARGE = 2000, 8000
+
+
+@pytest.fixture(scope="module")
+def corpora():
+    return {size: generate_dataset(GeneratorConfig(
+        num_articles=size, num_venues=16, num_authors=size // 4,
+        start_year=1990, end_year=2015, seed=3)) for size in (SMALL, LARGE)}
+
+
+@pytest.fixture(scope="module")
+def citation_graphs(corpora):
+    graphs = {size: corpus.citation_csr()
+              for size, corpus in corpora.items()}
+    assert graphs[LARGE].num_edges > 3 * graphs[SMALL].num_edges
+    return graphs
+
+
+def test_block_operator_opcodes_do_not_grow_with_the_graph(
+        citation_graphs, count_opcodes):
+    small, large = (
+        count_opcodes(lambda: _block_operators(
+            graph, range_partition(graph, 8), None))
+        for graph in (citation_graphs[SMALL], citation_graphs[LARGE]))
+    assert 0 < large <= 1.10 * small, (
+        f"_block_operators ran {small} opcodes on {SMALL} articles and "
+        f"{large} on {LARGE}: some step walks nodes or edges in Python")
+
+
+def test_from_edges_opcodes_do_not_grow_with_the_edges(
+        citation_graphs, count_opcodes):
+    def opcodes(graph: CSRGraph) -> int:
+        ids = graph.node_ids
+        src_idx, dst_idx, _ = graph.edge_array()
+        pairs = np.stack([ids[src_idx], ids[dst_idx]], axis=1)
+        built = []
+        executed = count_opcodes(lambda: built.append(
+            CSRGraph.from_edges(pairs, nodes=ids)))
+        assert np.array_equal(built[0].indices, graph.indices)
+        return executed
+
+    small, large = opcodes(citation_graphs[SMALL]), \
+        opcodes(citation_graphs[LARGE])
+    assert 0 < large <= 1.10 * small, (
+        f"CSRGraph.from_edges ran {small} opcodes on {SMALL} articles' "
+        f"edges and {large} on {LARGE}: endpoints are resolved per edge "
+        f"in Python")
+
+
+def test_citation_csr_opcodes_grow_with_articles_not_edges(
+        corpora, count_opcodes):
+    """One Python step per article remains (ROADMAP item 2: the corpus
+    is a dict of dataclasses); one per *reference* does not — the
+    larger corpus has 4x the articles and more references per article."""
+    small, large = (count_opcodes(corpora[size].citation_csr)
+                    for size in (SMALL, LARGE))
+    assert 0 < large <= 4.4 * small, (
+        f"citation_csr ran {small} opcodes on {SMALL} articles and "
+        f"{large} on {LARGE}: some step walks references in Python")
+    assert large < 4 * corpora[LARGE].num_citations
+
+
+class MeteredArray(np.ndarray):
+    """Counts the elements every ufunc produces from it and from
+    whatever is derived from it (results stay metered)."""
+
+    produced = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        result = getattr(ufunc, method)(
+            *(np.asarray(value) if isinstance(value, MeteredArray)
+              else value for value in inputs), **kwargs)
+        MeteredArray.produced += np.size(result)
+        return result.view(MeteredArray) \
+            if isinstance(result, np.ndarray) else result
+
+
+def assignment_work(build, graph, num_blocks) -> int:
+    partition = range_partition(graph, num_blocks)
+    object.__setattr__(partition, "assignment",
+                       partition.assignment.view(MeteredArray))
+    MeteredArray.produced = 0
+    build(graph, partition, None)
+    return MeteredArray.produced
+
+
+def test_block_operator_array_work_does_not_grow_with_block_count(
+        citation_graphs):
+    """Per-block masks compare every edge's block once per block:
+    O(blocks x edges) array work where one grouped pass does O(edges)."""
+    graph = citation_graphs[SMALL]
+    few, many = (assignment_work(_block_operators, graph, blocks)
+                 for blocks in (8, 64))
+    assert few >= graph.num_edges
+    assert many <= 1.10 * few, (
+        f"block-assignment arithmetic produced {few} elements for 8 "
+        f"blocks and {many} for 64: edges are rescanned per block")
+    # The meter does see the mask build it guards against.
+    assert assignment_work(mask_block_operators, graph, 64) \
+        > 4 * assignment_work(mask_block_operators, graph, 8)

@@ -11,8 +11,6 @@ stays put; one per-article Python loop anywhere on the path (the old
 multiplies it.
 """
 
-import sys
-
 import pytest
 
 from repro.data.generator import GeneratorConfig, generate_dataset
@@ -23,26 +21,6 @@ from repro.serve import ShardedGateway
 pytestmark = pytest.mark.serve
 
 SMALL, LARGE, BATCH = 2000, 8000, 50
-
-
-def count_opcodes(call) -> int:
-    """Interpreter opcodes executed (in Python frames) by ``call()``."""
-    executed = 0
-
-    def tracer(frame, event, arg):
-        nonlocal executed
-        frame.f_trace_opcodes = True
-        if event == "opcode":
-            executed += 1
-        return tracer
-
-    previous = sys.gettrace()
-    sys.settrace(tracer)
-    try:
-        call()
-    finally:
-        sys.settrace(previous)
-    return executed
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +58,7 @@ def arrivals(full: ScholarlyDataset):
             UpdateBatch(articles=articles[BATCH:]))
 
 
-def ingest_opcodes(base: ScholarlyDataset, batches) -> int:
+def ingest_opcodes(count_opcodes, base: ScholarlyDataset, batches) -> int:
     with ShardedGateway(LiveRanker(base), 2, mode="inline") as gateway:
         warm, measured = batches
         assert gateway.ingest(warm).status == "published"
@@ -92,11 +70,12 @@ def ingest_opcodes(base: ScholarlyDataset, batches) -> int:
     return executed
 
 
-def test_publish_opcodes_do_not_grow_with_the_corpus(corpus):
+def test_publish_opcodes_do_not_grow_with_the_corpus(corpus,
+                                                     count_opcodes):
     # A warm batch first: the measured publish is a steady-state one.
     batches = arrivals(corpus)
-    small = ingest_opcodes(prefix(corpus, SMALL), batches)
-    large = ingest_opcodes(prefix(corpus, LARGE), batches)
+    small = ingest_opcodes(count_opcodes, prefix(corpus, SMALL), batches)
+    large = ingest_opcodes(count_opcodes, prefix(corpus, LARGE), batches)
     assert small > 0
     assert large <= 1.10 * small, (
         f"one publish ran {small} opcodes on {SMALL} articles and "
