@@ -814,8 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="render the metrics frozen in an incident "
                               "bundle instead of running a ranking")
     profile.add_argument("--method", default="auto",
-                         choices=["auto", "power", "gauss_seidel",
-                                  "levels"],
+                         choices=["auto", "power", "levels"],
                          help="TWPR solver to profile")
     profile.add_argument("--engine", default="model",
                          choices=["model", "parallel"],

@@ -72,7 +72,8 @@ class RankerConfig:
         normalization: score normalization used at every combination
             point (``rank`` is robust to the heavy-tailed scales the
             components live on).
-        solver: TWPR solver (``auto`` = optimized level sweeps).
+        solver: TWPR solver, ``power`` or ``levels`` (``auto`` = levels,
+            the optimized level sweeps).
         tol / max_iter: convergence control for the iterative solves.
         observation_year: "today" for all decays (default: dataset max).
         popularity_self_boost: see

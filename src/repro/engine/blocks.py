@@ -43,6 +43,7 @@ from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import Partition
 from repro.ranking.pagerank import (
+    transition_probabilities,
     validate_edge_weights,
     validate_initial,
     validate_jump,
@@ -109,12 +110,9 @@ def _block_operators(graph: CSRGraph, partition: Partition,
     engines' fixed point.
     """
     n = graph.num_nodes
-    weights = validate_edge_weights(graph, edge_weights)
-
-    src_idx, dst_idx = graph.edge_sources(), graph.indices
-    strengths = np.bincount(src_idx, weights=weights, minlength=n)
-    dangling = strengths == 0.0
-    probability = weights / np.where(dangling, 1.0, strengths)[src_idx]
+    dst_idx = graph.indices
+    src_idx, probability, dangling = transition_probabilities(
+        graph, validate_edge_weights(graph, edge_weights))
 
     num_blocks = partition.num_blocks
     src_block = partition.assignment[src_idx]

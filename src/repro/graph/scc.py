@@ -9,7 +9,8 @@ recursion limit).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from itertools import chain
+from typing import List
 
 import numpy as np
 
@@ -80,22 +81,25 @@ def condensation(graph: CSRGraph):
     component index of graph node ``i``.
     """
     components = strongly_connected_components(graph)
-    n = graph.num_nodes
-    membership = np.empty(n, dtype=np.int64)
-    for comp_id, members in enumerate(components):
-        for node in members:
-            membership[node] = comp_id
+    count = len(components)
+    members = np.fromiter(chain.from_iterable(components), np.int64,
+                          graph.num_nodes)
+    sizes = np.fromiter(map(len, components), np.int64, count)
+    membership = np.empty(graph.num_nodes, dtype=np.int64)
+    membership[members] = np.repeat(np.arange(count), sizes)
 
-    edges: Dict[tuple, float] = {}
-    src_idx, dst_idx, weights = graph.edge_array()
-    for u, v, w in zip(membership[src_idx], membership[dst_idx], weights):
-        if u != v:
-            key = (int(u), int(v))
-            edges[key] = edges.get(key, 0.0) + float(w)
-
+    # Inter-component edges grouped on one integer key; the DAG keeps
+    # them in first-appearance order with weights summed in edge order.
+    src = membership[graph.edge_sources()]
+    dst = membership[graph.indices]
+    crossing = src != dst
+    keys, first, group = np.unique(src[crossing] * count + dst[crossing],
+                                   return_index=True, return_inverse=True)
+    order = np.argsort(first)
     dag = CSRGraph.from_edges(
-        list(edges.keys()),
-        nodes=range(len(components)),
-        weights=list(edges.values()),
+        np.stack([keys[order] // count, keys[order] % count], axis=1),
+        nodes=range(count),
+        weights=np.bincount(group, weights=graph.weights[crossing],
+                            minlength=len(keys))[order],
     )
     return dag, membership

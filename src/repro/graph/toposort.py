@@ -160,5 +160,5 @@ def dag_violations(graph: CSRGraph, years: np.ndarray) -> int:
     in-press cross-citations and data noise. The count feeds the dataset
     statistics table (experiment E9).
     """
-    src_idx, dst_idx, _ = graph.edge_array()
-    return int(np.count_nonzero(years[src_idx] < years[dst_idx]))
+    return int(np.count_nonzero(
+        years[graph.edge_sources()] < years[graph.indices]))

@@ -229,7 +229,7 @@ class SolverTelemetry:
                     kind: str = "iteration") -> ConvergenceStream:
         """Get or create the named :class:`ConvergenceStream`.
 
-        Solvers open one stream per solve (e.g. ``"twpr/levels"``) and
+        Solvers open one stream per solve (e.g. ``"gauss_seidel"``) and
         append a point per iteration; engines open ``"superstep"`` /
         ``"batch"`` streams. All streams serialize with the telemetry.
         """

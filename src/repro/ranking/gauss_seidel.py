@@ -13,10 +13,11 @@ Two sweep kernels share the semantics:
 * ``pernode`` — the reference formulation: a Python loop over the sweep
   order with one ``np.dot`` per node. Required for arbitrary caller
   orders; interpreter-bound.
-* ``levels`` — the batched CSR kernel: nodes are grouped into topological
-  levels (:func:`repro.graph.toposort.topological_levels`), and a whole
-  level — which by construction has no intra-level edges — is updated as
-  one gather + ``np.add.reduceat`` segment reduction over the
+* ``levels`` — the batch optimization (and what Time-Weighted PageRank
+  runs, with time-decayed ``edge_weights``): nodes are grouped into
+  topological levels (:func:`repro.graph.toposort.topological_levels`),
+  and a whole level — which by construction has no intra-level edges —
+  is updated as one sparse matvec over that level's slice of the
   destination-grouped CSR arrays. Members of a non-trivial SCC are the
   only nodes with intra-level edges; they are swept per-node (in index
   order, matching :func:`influence_order`), so sweep semantics are
@@ -32,20 +33,18 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.errors import ConfigError, ConvergenceError
 from repro.graph.csr import CSRGraph
 from repro.graph.scc import condensation
-from repro.graph.toposort import (
-    ragged_offsets,
-    topological_levels,
-    topological_sort,
-)
+from repro.graph.toposort import topological_levels, topological_sort
 from repro.ranking.pagerank import (
     PageRankResult,
+    transition_probabilities,
     validate_edge_weights,
     validate_initial,
     validate_jump,
@@ -82,88 +81,42 @@ def influence_order(graph: CSRGraph) -> np.ndarray:
     return np.argsort(keys, kind="stable").astype(np.int64)
 
 
-class _LevelPlan:
-    """Precomputed schedule for the batched ``levels`` sweep kernel.
+def _sweep_segments(graph: CSRGraph, src_idx: np.ndarray,
+                    probability: np.ndarray, node_order: np.ndarray,
+                    bounds: np.ndarray, per_node: Sequence[bool]
+                    ) -> List[Tuple[np.ndarray, Any]]:
+    """Pull operators for consecutive runs of the sweep order.
 
-    Segments are processed in ascending ``levels * 2 + cyclic`` key order:
-    the even segment of a level holds its singleton-SCC nodes (no in-edges
-    from their own segment or the level's cyclic segment — every in-edge
-    comes from a strictly smaller key), the odd segment holds members of
-    non-trivial SCCs at that level, which may feed each other and are
-    swept per-node. Gather indices and reduction boundaries are computed
-    once, so each sweep is pure vectorized work plus a short loop over the
-    (typically few) cyclic nodes.
+    Returns one ``(nodes, pull)`` per segment
+    ``node_order[bounds[i]:bounds[i + 1]]``. ``pull`` is the CSR triple
+    ``(probability, source, indptr)`` of the segment's in-edges — row
+    ``r`` holds those of ``nodes[r]``, in CSR edge order — left raw for
+    a ``per_node`` segment and wrapped in a ``csr_matrix`` otherwise, so
+    that ``pull @ scores`` is every node's transition-probability-
+    weighted sum over its in-edges.
     """
-
-    __slots__ = ("batched", "serial", "num_levels")
-
-    def __init__(self, graph: CSRGraph, in_ptr: np.ndarray,
-                 in_src: np.ndarray, in_prob: np.ndarray) -> None:
-        decomposition = topological_levels(graph)
-        self.num_levels = decomposition.num_levels
-        key = decomposition.levels * 2 + decomposition.cyclic_mask
-        node_order = np.argsort(key, kind="stable")
-        sorted_key = key[node_order]
-        bounds = np.flatnonzero(
-            np.r_[True, sorted_key[1:] != sorted_key[:-1],
-                  True]) if len(sorted_key) else np.zeros(1, dtype=np.int64)
-        # One global gather over all nodes in sweep order; segments are
-        # then pure slices of these arrays (no per-segment construction).
-        counts = in_ptr[node_order + 1] - in_ptr[node_order]
-        gather = np.repeat(in_ptr[node_order], counts) \
-            + ragged_offsets(counts)
-        within = np.zeros(len(node_order), dtype=np.int64)
-        if len(counts) > 1:
-            np.cumsum(counts[:-1], out=within[1:])
-        total_edges = int(counts.sum()) if len(counts) else 0
-        edge_bounds = np.append(within[bounds[:-1]], total_edges) \
-            if len(bounds) > 1 else np.asarray([total_edges])
-        # Each batched entry: (nodes, gather, reduce_starts, has_edges),
-        # or None when the matching ``serial`` entry holds the segment.
-        self.batched: List[Optional[Tuple[np.ndarray, np.ndarray,
-                                          np.ndarray, np.ndarray]]] = []
-        # Each serial entry: a run of intra-SCC nodes swept per-node.
-        self.serial: List[Optional[np.ndarray]] = []
-        for seg, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            nodes = node_order[lo:hi]
-            if sorted_key[lo] % 2:  # cyclic segment: per-node sweep
-                self.batched.append(None)
-                self.serial.append(nodes)
-                continue
-            edge_lo = int(edge_bounds[seg])
-            edge_hi = int(edge_bounds[seg + 1])
-            seg_counts = counts[lo:hi]
-            has_edges = seg_counts > 0
-            reduce_starts = (within[lo:hi] - edge_lo)[has_edges]
-            self.batched.append((nodes, gather[edge_lo:edge_hi],
-                                 reduce_starts, has_edges))
-            self.serial.append(None)
-
-
-def _levels_sweep(plan: _LevelPlan, scores: np.ndarray,
-                  in_ptr: np.ndarray, in_src: np.ndarray,
-                  in_prob: np.ndarray, damping: float,
-                  dangling_mass: float, jump_vector: np.ndarray) -> None:
-    """One in-place Gauss–Seidel sweep in level-batched order."""
-    base = 1.0 - damping
-    for batch, serial_nodes in zip(plan.batched, plan.serial):
-        if batch is None:
-            for node in serial_nodes:
-                start, stop = in_ptr[node], in_ptr[node + 1]
-                pulled = float(np.dot(in_prob[start:stop],
-                                      scores[in_src[start:stop]]))
-                scores[node] = damping * (pulled + dangling_mass
-                                          * jump_vector[node]) \
-                    + base * jump_vector[node]
-            continue
-        nodes, gather, reduce_starts, has_edges = batch
-        pulled = np.zeros(len(nodes))
-        if len(gather):
-            products = in_prob[gather] * scores[in_src[gather]]
-            pulled[has_edges] = np.add.reduceat(products, reduce_starts)
-        scores[nodes] = damping * (pulled + dangling_mass
-                                   * jump_vector[nodes]) \
-            + base * jump_vector[nodes]
+    n = graph.num_nodes
+    # Permute nodes so segments are contiguous; one stable sort of the
+    # edges by permuted destination yields every segment's CSR block as
+    # a pair of array slices — no per-segment construction cost.
+    rank_of_node = np.empty(n, dtype=np.int64)
+    rank_of_node[node_order] = np.arange(n)
+    rows = rank_of_node[graph.indices]
+    edge_order = np.argsort(rows, kind="stable")
+    sorted_src = src_idx[edge_order]
+    sorted_probability = probability[edge_order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    segments: List[Tuple[np.ndarray, Any]] = []
+    for row_lo, row_hi, serial in zip(bounds[:-1], bounds[1:], per_node):
+        edge_lo, edge_hi = indptr[row_lo], indptr[row_hi]
+        pull = (sorted_probability[edge_lo:edge_hi],
+                sorted_src[edge_lo:edge_hi],
+                indptr[row_lo:row_hi + 1] - edge_lo)
+        segments.append((
+            node_order[row_lo:row_hi],
+            pull if serial else csr_matrix(pull, shape=(row_hi - row_lo, n))))
+    return segments
 
 
 def gauss_seidel_pagerank(graph: CSRGraph, damping: float = 0.85,
@@ -189,8 +142,9 @@ def gauss_seidel_pagerank(graph: CSRGraph, damping: float = 0.85,
     rounding (~1e-15 per entry), far inside any practical ``tol``.
     Convergence is measured as the L1 change of one full sweep.
     ``telemetry`` (optional) records the per-sweep residual and
-    dangling-mass trajectory plus a ``"gauss_seidel"`` convergence
-    stream, without affecting the result. ``obs`` wraps the sweeps in
+    dangling-mass trajectory, a ``"gauss_seidel"`` convergence stream
+    and the ``levels`` / ``dangling_nodes`` counters, without affecting
+    the result. ``obs`` wraps the sweeps in
     a ``gauss_seidel.solve`` span and supplies telemetry when
     ``telemetry`` itself is not given.
     """
@@ -220,36 +174,36 @@ def gauss_seidel_pagerank(graph: CSRGraph, damping: float = 0.85,
     jump_vector = validate_jump(jump, n)
     weights = validate_edge_weights(graph, edge_weights)
 
-    # Per-edge transition probability, grouped by *destination* so each
-    # node can pull from its in-neighbours during the sweep.
-    src_of_edge = np.repeat(np.arange(n, dtype=np.int64),
-                            np.diff(graph.indptr))
-    strengths = np.bincount(src_of_edge, weights=weights, minlength=n)
-    dangling = strengths == 0.0
-    probability = weights / np.where(dangling, 1.0, strengths)[src_of_edge]
+    src_idx, probability, dangling = transition_probabilities(graph, weights)
 
-    # Regroup edges by destination so each node can pull from its
-    # in-neighbours during the sweep.
-    dst_of_edge = graph.indices
-    order_by_dst = np.argsort(dst_of_edge, kind="stable")
-    in_prob = probability[order_by_dst]
-    in_src = src_of_edge[order_by_dst]
-    in_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dst_of_edge, minlength=n), out=in_ptr[1:])
-
+    # The sweep is a run of segments in ascending key order. An even
+    # key ``2 * level`` holds that level's singleton-SCC nodes: every
+    # in-edge comes from a strictly smaller key, so the segment is one
+    # matvec. An odd key holds members of non-trivial SCCs at that
+    # level, which may feed each other and are swept per node — as is
+    # the whole order under ``kernel="pernode"``.
     if kernel == "levels":
-        plan = _LevelPlan(graph, in_ptr, in_src, in_prob)
-        sweep_order = None
-        if telemetry is not None:
-            telemetry.set_counter("levels", plan.num_levels)
+        decomposition = topological_levels(graph)
+        key = decomposition.levels * 2 + decomposition.cyclic_mask
+        node_order = np.argsort(key, kind="stable")
+        keys, sizes = np.unique(key, return_counts=True)
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        per_node = keys % 2 == 1
     else:
-        plan = None
-        sweep_order = np.asarray(order if order is not None
-                                 else influence_order(graph),
-                                 dtype=np.int64)
-        if sorted(sweep_order.tolist()) != list(range(n)):
+        node_order = np.asarray(order if order is not None
+                                else influence_order(graph),
+                                dtype=np.int64)
+        if sorted(node_order.tolist()) != list(range(n)):
             raise ConfigError(
                 "order must be a permutation of all node indices")
+        bounds, per_node = np.array([0, n]), [True]
+    segments = _sweep_segments(graph, src_idx, probability, node_order,
+                               bounds, per_node)
+    if telemetry is not None:
+        if kernel == "levels":
+            telemetry.set_counter("levels", decomposition.num_levels)
+        telemetry.set_counter("dangling_nodes",
+                              int(np.count_nonzero(dangling)))
 
     validated = validate_initial(initial, n)
     scores = validated.copy() if validated is not None \
@@ -267,12 +221,15 @@ def gauss_seidel_pagerank(graph: CSRGraph, damping: float = 0.85,
             sweep_start = time.perf_counter()
             previous = scores.copy()
             dangling_mass = float(scores[dangling].sum())
-            if plan is not None:
-                _levels_sweep(plan, scores, in_ptr, in_src, in_prob,
-                              damping, dangling_mass, jump_vector)
-            else:
-                for node in sweep_order:
-                    start, stop = in_ptr[node], in_ptr[node + 1]
+            for (nodes, pull), serial in zip(segments, per_node):
+                if not serial:
+                    scores[nodes] = damping * (
+                        pull @ scores + dangling_mass * jump_vector[nodes]
+                    ) + (1.0 - damping) * jump_vector[nodes]
+                    continue
+                in_prob, in_src, in_ptr = pull
+                for row, node in enumerate(nodes):
+                    start, stop = in_ptr[row], in_ptr[row + 1]
                     pulled = float(np.dot(in_prob[start:stop],
                                           scores[in_src[start:stop]]))
                     scores[node] = damping * (pulled + dangling_mass

@@ -115,26 +115,36 @@ def validate_edge_weights(graph: CSRGraph,
     return weights
 
 
+def transition_probabilities(graph: CSRGraph, weights: np.ndarray
+                             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-normalise the out-weights: ``(src_idx, probability, dangling)``.
+
+    ``probability[e]`` is edge ``e``'s weight over its source's total
+    out-weight. Nodes whose outgoing weight sums to zero are *dangling*
+    — including nodes that have edges but all of weight zero. Every
+    solver builds its operator from this one function, so they share a
+    transition matrix bit for bit.
+    """
+    src_idx = graph.edge_sources()
+    strengths = np.bincount(src_idx, weights=weights,
+                            minlength=graph.num_nodes)
+    dangling = strengths == 0.0
+    probability = weights / np.where(dangling, 1.0, strengths)[src_idx]
+    return src_idx, probability, dangling
+
+
 def build_transition(graph: CSRGraph,
                      edge_weights: Optional[np.ndarray] = None
                      ) -> Tuple[csr_matrix, np.ndarray]:
     """Build ``(P_transposed, dangling_mask)`` for ``graph``.
 
     ``P`` is the out-edge row-normalized transition matrix over
-    ``edge_weights`` (default: the graph's stored weights). Nodes whose
-    outgoing weight sums to zero are *dangling* — including nodes that have
-    edges but all of weight zero.
+    ``edge_weights`` (default: the graph's stored weights).
     """
     n = graph.num_nodes
-    weights = validate_edge_weights(graph, edge_weights)
-
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
-    strengths = np.bincount(src, weights=weights, minlength=n)
-    dangling = strengths == 0.0
-
-    safe = np.where(dangling, 1.0, strengths)
-    normalized = weights / safe[src]
-    transition = csr_matrix((normalized, graph.indices, graph.indptr),
+    _, probability, dangling = transition_probabilities(
+        graph, validate_edge_weights(graph, edge_weights))
+    transition = csr_matrix((probability, graph.indices, graph.indptr),
                             shape=(n, n))
     return transition.T.tocsr(), dangling
 

@@ -34,8 +34,9 @@ class TestCompareSolvers:
         graph = small_dataset.citation_csr()
         years = small_dataset.article_years(graph)
         comparison = compare_solvers(graph, years,
-                                     methods=("power", "gauss_seidel"))
-        assert comparison.optimized.method == "gauss_seidel"
+                                     methods=("levels", "power"))
+        assert comparison.naive.method == "levels"
+        assert comparison.optimized.method == "power"
         assert comparison.agreement_l1 < 1e-8
 
     def test_time_speedup_finite(self, small_dataset):

@@ -1,16 +1,18 @@
-"""Clock-free work gates: cold-path construction is grouped numpy.
+"""Clock-free work gates: the cold path is grouped numpy.
 
-The two kernels the cold benchmark rows stand on — the block-operator
-build and the citation CSR — must not walk edges in Python, and the
-operator build must not rescan every edge once per block. Interpreter
-opcodes (``count_opcodes``, shared with the publish gate) see the
-first; the second is numpy work no opcode counts, so it is metered by
-the number of array elements that flow out of the partition assignment.
+The kernels the cold benchmark rows stand on — the block-operator
+build, the citation CSR and the TWPR level sweep — must not walk nodes
+or edges in Python, and the operator build must not rescan every edge
+once per block. Interpreter opcodes (``count_opcodes``, shared with the
+publish gate) see the first; the second is numpy work no opcode counts,
+so it is metered by the number of array elements that flow out of the
+partition assignment.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.twpr import time_weighted_pagerank
 from repro.data.generator import GeneratorConfig, generate_dataset
 from repro.engine.blocks import _block_operators
 from repro.graph.csr import CSRGraph
@@ -78,6 +80,22 @@ def test_citation_csr_opcodes_grow_with_articles_not_edges(
         f"citation_csr ran {small} opcodes on {SMALL} articles and "
         f"{large} on {LARGE}: some step walks references in Python")
     assert large < 4 * corpora[LARGE].num_citations
+
+
+def test_twpr_opcodes_grow_with_levels_not_nodes(
+        corpora, citation_graphs, count_opcodes):
+    """Levels x sweeps is the only Python loop of a TWPR solve: 4x the
+    articles may add a level or two, never a step per node."""
+    def opcodes(size: int) -> int:
+        graph = citation_graphs[size]
+        years = corpora[size].article_years(graph)
+        return count_opcodes(lambda: time_weighted_pagerank(graph, years))
+
+    small, large = opcodes(SMALL), opcodes(LARGE)
+    assert 0 < large <= 1.25 * small, (
+        f"time_weighted_pagerank ran {small} opcodes on {SMALL} articles "
+        f"and {large} on {LARGE}: some level of an acyclic graph is "
+        f"swept per node in Python")
 
 
 class MeteredArray(np.ndarray):

@@ -69,9 +69,13 @@ class TestSolverWiring:
         graph = small_dataset.citation_csr()
         years = small_dataset.article_years(graph)
         telemetry = SolverTelemetry()
-        time_weighted_pagerank(graph, years, exponential_decay(0.1),
-                               method="levels", telemetry=telemetry)
-        assert len(telemetry.convergence["twpr.levels"]) > 0
+        result = time_weighted_pagerank(graph, years, exponential_decay(0.1),
+                                        method="levels", telemetry=telemetry)
+        # TWPR's level solve *is* the Gauss–Seidel solver: its stream.
+        assert list(telemetry.convergence) == ["gauss_seidel"]
+        assert len(telemetry.convergence["gauss_seidel"]) \
+            == result.iterations
+        assert telemetry.solver == "levels"
 
     def test_block_engine_superstep_stream(self, small_dataset):
         from repro.engine.blocks import BlockEngine

@@ -93,7 +93,7 @@ class TestProfile:
         assert "iteration(s)" in out
         assert "residual trajectory:" in out
 
-    @pytest.mark.parametrize("method", ["power", "gauss_seidel", "levels"])
+    @pytest.mark.parametrize("method", ["power", "levels"])
     def test_solver_choice(self, dataset_path, method, capsys):
         assert main(["profile", str(dataset_path),
                      "--method", method]) == 0

@@ -7,7 +7,7 @@ serialization round-trips, metric bounds, index/ranking consistency.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data.schema import Article, Author, ScholarlyDataset, Venue
@@ -15,6 +15,7 @@ from repro.graph.csr import CSRGraph
 
 
 def graph_strategy(max_nodes=10, max_edges=30):
+    """Unconstrained endpoint pairs: cycles and self-loops included."""
     node = st.integers(0, max_nodes - 1)
     return st.lists(st.tuples(node, node), min_size=0,
                     max_size=max_edges).map(
@@ -58,15 +59,25 @@ def dataset_strategy():
 class TestSolverAgreement:
     @settings(max_examples=20, deadline=None)
     @given(graph_strategy(), years_strategy)
+    @example(CSRGraph.from_edges([(0, 1), (1, 2), (2, 0), (3, 0), (2, 4)],
+                                 nodes=range(10)), np.arange(1990, 2000))
     def test_all_twpr_solvers_share_fixed_point(self, graph, years):
-        from repro.core.twpr import time_weighted_pagerank
+        from repro.core.time_weight import exponential_decay
+        from repro.core.twpr import time_weight_edges, time_weighted_pagerank
+        from repro.ranking.gauss_seidel import gauss_seidel_pagerank
 
-        results = [time_weighted_pagerank(graph, years, method=method,
-                                          tol=1e-12, max_iter=1000)
-                   for method in ("power", "gauss_seidel", "levels")]
-        for result in results[1:]:
-            assert np.abs(result.scores
-                          - results[0].scores).sum() < 1e-7
+        power, auto, levels = (
+            time_weighted_pagerank(graph, years, method=method,
+                                   tol=1e-12, max_iter=1000)
+            for method in ("power", "auto", "levels"))
+        pernode = gauss_seidel_pagerank(
+            graph, kernel="pernode", tol=1e-12, max_sweeps=1000,
+            edge_weights=time_weight_edges(graph, years,
+                                           exponential_decay(0.1)))
+        for result in (auto, levels, pernode):
+            assert np.abs(result.scores - power.scores).sum() < 1e-7
+        # The level kernel batches the per-node sweep, cycles included.
+        assert levels.iterations == pernode.iterations
 
     @settings(max_examples=15, deadline=None)
     @given(graph_strategy())
