@@ -10,7 +10,8 @@ graph over both IPC data planes and writes one ``RunReport`` with:
   started shipping arrays again);
 * ``metrics/supersteps_*`` — convergence behavior (deterministic);
 * ``metrics/blocks_skipped_*`` — frontier-compaction savings
-  (deterministic for a fixed graph/worker count, soft-compared);
+  (deterministic for a fixed graph/worker count, and the rule has no
+  off switch, so hard-gated like the superstep count);
 * ``timings/*_run`` — wall-clock per plane (noisy on shared runners);
 * ``timings/kernel_*`` / ``metrics/kernel_speedup`` — per-node vs
   batched level-kernel Gauss–Seidel sweep wall-clock on a synthetic
@@ -20,9 +21,10 @@ graph over both IPC data planes and writes one ``RunReport`` with:
 CI diffs the report against the committed baseline with::
 
     python benchmarks/compare.py benchmarks/baselines/parallel_smoke.json \
-        OUT.json --hard-prefix metrics/bytes_ --hard-prefix metrics/supersteps_
+        OUT.json --hard-prefix metrics/bytes_ --hard-prefix metrics/supersteps_ \
+        --hard-prefix metrics/blocks_skipped_
 
-so byte/superstep regressions fail the build while timing noise is
+so byte/superstep/skip regressions fail the build while timing noise is
 reported but soft. Regenerate the baseline (after an *intentional*
 change) by running this script with ``--json`` pointed at the baseline
 path.

@@ -14,7 +14,9 @@ this module reproduces the claim measurably on one machine:
 :class:`BlockEngine` counts supersteps and boundary messages, and
 :func:`vertex_centric_pagerank` provides the Pregel-style baseline with
 identical accounting. Wall-clock scaling across real worker processes is
-in :mod:`repro.engine.parallel`.
+in :mod:`repro.engine.parallel`, whose engine subclasses
+:class:`BlockEngine`: the superstep loop and the block-skip rule live
+here, once (:meth:`BlockEngine._run`).
 
 Dangling handling: when the dangling-mass redistribution vector equals
 the jump vector (our case — both uniform/personalized identically), the
@@ -32,9 +34,9 @@ edges only — and normalize once at the end.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -42,16 +44,15 @@ from scipy.sparse import csr_matrix
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import Partition
+from repro.obs.handle import Observability, maybe_span, resolve_telemetry
+from repro.obs.telemetry import SolverTelemetry
 from repro.ranking.pagerank import (
+    build_transition,
     transition_probabilities,
     validate_edge_weights,
     validate_initial,
     validate_jump,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.obs.handle import Observability
-    from repro.obs.telemetry import SolverTelemetry
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,9 @@ class BlockRankResult:
     ``messages`` counts cross-block edge traversals (the proxy for
     network traffic); ``local_iterations`` sums the inner iterations all
     blocks performed. ``blocks_skipped`` counts block-supersteps elided
-    by frontier compaction (always 0 for the vertex-centric baseline and
-    with ``compaction=False``) — skipping never changes the scores, the
-    residual trajectory or the superstep count, only the work done.
+    by frontier compaction (always 0 for the vertex-centric baseline) —
+    skipping never changes the scores, the residual trajectory or the
+    superstep count, only the work done.
     """
 
     scores: np.ndarray
@@ -236,13 +237,48 @@ def solve_block(internal_op: csr_matrix, external: np.ndarray,
     return scores, iterations
 
 
+def _solve_block_set(blocks: Dict[int, tuple], block_ids: List[int],
+                     previous: np.ndarray, damping: float,
+                     local_tol: float, local_max_iter: int
+                     ) -> List[Tuple[int, np.ndarray, int]]:
+    """Solve one slot's blocks in order, each seeing the fresh scores of
+    the ones before it (the asynchronous-within-partition trait of
+    graph-centric runtimes); everything else is read from ``previous``.
+    ``blocks`` maps block id to ``(internal_op, boundary_op, jump_block,
+    members)``. This is the *single* solve path: the serial engine,
+    worker processes and the coordinator's degraded-worker fallback all
+    call it, which makes recovery bit-identical to normal execution.
+    """
+    working = previous.copy()
+    results = []
+    for block_id in block_ids:
+        internal_op, boundary_op, jump_block, members = blocks[block_id]
+        external = boundary_op @ working
+        scores, inner = solve_block(
+            internal_op, external, jump_block, working[members],
+            damping, local_tol, local_max_iter)
+        working[members] = scores
+        results.append((block_id, scores, inner))
+    return results
+
+
 class BlockEngine:
     """Sequential graph-centric PageRank over a partitioned graph.
 
     The fixed point matches :func:`repro.ranking.pagerank.pagerank` with
     the same damping/jump/weights; only the path (and the communication
     cost) differs.
+
+    Owns the superstep coordinator (:meth:`_run`) of every block
+    engine, parameterised by *slots* — ordered block-id lists, Gauss–
+    Seidel inside a slot, Jacobi across slots — and by :meth:`_solver`.
+    This engine is one slot solved inline;
+    :class:`repro.engine.parallel.ParallelBlockEngine` gives every
+    worker process a slot.
     """
+
+    #: convergence-stream name of a run.
+    _stream = "block_engine"
 
     def __init__(self, graph: CSRGraph, partition: Partition,
                  damping: float = 0.85,
@@ -258,19 +294,20 @@ class BlockEngine:
         self.jump = validate_jump(jump, graph.num_nodes)
         operators = _block_operators(graph, partition, edge_weights)
         self._members = operators.members
-        self._internal_ops = operators.internal_ops
-        self._boundary_ops = operators.boundary_ops
-        self._dangling = operators.dangling
         self._cut_edges = operators.cut_edges
         self._source_blocks = operators.source_blocks
+        #: block id -> the payload :func:`_solve_block_set` consumes.
+        self._blocks: Dict[int, tuple] = {
+            block: (operators.internal_ops[block],
+                    operators.boundary_ops[block], self.jump[nodes], nodes)
+            for block, nodes in enumerate(operators.members)}
 
     def run(self, tol: float = 1e-10, max_supersteps: int = 100,
             local_tol: float = 1e-12, local_max_iter: int = 50,
             initial: Optional[np.ndarray] = None,
             block_order: Optional[Sequence[int]] = None,
-            compaction: bool = True,
-            telemetry: Optional["SolverTelemetry"] = None,
-            obs: Optional["Observability"] = None
+            telemetry: Optional[SolverTelemetry] = None,
+            obs: Optional[Observability] = None
             ) -> BlockRankResult:
         """Iterate supersteps until the global L1 change drops below tol.
 
@@ -282,117 +319,149 @@ class BlockEngine:
         which, for a time-ordered range partition of a citation graph,
         processes citing cohorts before the cohorts they cite.
 
-        ``compaction`` (default on) skips a block's inner solve and
-        boundary pull when the skip is provably a bit-exact no-op: the
-        block's own scores did not change (bitwise) during the previous
-        superstep, no in-edge source block changed during the previous
-        superstep, and no in-edge source block has been re-solved
-        earlier in this superstep. Under that condition the block's
-        external input and starting point are bitwise identical to its
-        last solve, and ``solve_block`` is deterministic — so scores,
-        residual trajectory and superstep count are unchanged; only
-        ``local_iterations`` drops and ``blocks_skipped`` counts the
-        elided work. Message accounting is intentionally untouched (a
-        skip saves compute, not the superstep's cut-edge exchange
-        budget, which E5 compares against the vertex-centric baseline).
+        A block whose inputs are bitwise unchanged since its last solve
+        is skipped — a bit-exact no-op elision counted in
+        ``blocks_skipped``; :meth:`_run` states the rule.
 
         ``telemetry`` (optional) records, per superstep: wall-clock,
         boundary messages, global residual and per-block inner
         iterations (0 for skipped blocks), plus a ``blocks_skipped``
         counter. The fixed point is unchanged with it on or off.
         """
+        num_blocks = self.partition.num_blocks
+        order = list(block_order) if block_order is not None \
+            else list(range(num_blocks - 1, -1, -1))
+        if sorted(order) != list(range(num_blocks)):
+            raise ConfigError("block_order must permute all blocks")
+        return self._run([order], initial, tol, max_supersteps, local_tol,
+                         local_max_iter, telemetry, obs)
+
+    @contextmanager
+    def _solver(self, local_tol: float, local_max_iter: int,
+                telemetry: Optional[SolverTelemetry],
+                obs: Optional[Observability]) -> Iterator[Callable]:
+        """Open the run span and yield the solve step — the one thing a
+        subclass overrides: ``(superstep, previous frontier, block ids
+        to re-solve per slot)`` → ``(block, scores, inner)`` for each of
+        them. Here: inline, slot after slot."""
+        def solve(superstep, previous, dispatch):
+            for block_ids in dispatch:
+                yield from _solve_block_set(
+                    self._blocks, block_ids, previous, self.damping,
+                    local_tol, local_max_iter)
+
+        with maybe_span(obs, "block_engine.run", nodes=self.graph.num_nodes,
+                        blocks=self.partition.num_blocks):
+            yield solve
+
+    def _run(self, slots: List[List[int]], initial: Optional[np.ndarray],
+             tol: float, max_supersteps: int, local_tol: float,
+             local_max_iter: int,
+             telemetry: Optional[SolverTelemetry],
+             obs: Optional[Observability]) -> BlockRankResult:
+        """The superstep coordinator — the only one the block engines have.
+
+        Each superstep: decide per slot which blocks need a re-solve,
+        hand those to the solve step, merge what comes back, account.
+        A block is **skipped** when the skip is provably a bit-exact
+        no-op: its own scores did not change (bitwise) during the
+        previous superstep, no in-edge source block's did, and no
+        in-edge source block of the *same slot* was re-solved earlier in
+        this superstep (other slots are read from the previous frontier,
+        so only same-slot activity can alter a block's input mid-
+        superstep). Then its external input and starting point are
+        bitwise those of its last solve, and ``solve_block`` is
+        deterministic — so scores, residual trajectory and superstep
+        count are unchanged; only ``local_iterations`` and dispatches
+        drop (a slot with nothing to solve gets none), and
+        ``blocks_skipped`` counts the elided work. Message accounting is
+        intentionally untouched (a skip saves compute, not the
+        superstep's cut-edge exchange budget, which E5 compares against
+        the vertex-centric baseline).
+        """
         if tol <= 0 or local_tol <= 0:
             raise ConfigError("tolerances must be positive")
         if max_supersteps <= 0 or local_max_iter <= 0:
             raise ConfigError("iteration budgets must be positive")
-        if obs is not None and telemetry is None:
-            telemetry = obs.telemetry
+        telemetry = resolve_telemetry(obs, telemetry)
         n = self.graph.num_nodes
         if n == 0:
             return BlockRankResult(np.zeros(0), 0, 0, 0, 0.0, True)
-        order = list(block_order) if block_order is not None \
-            else list(range(self.partition.num_blocks - 1, -1, -1))
-        if sorted(order) != list(range(self.partition.num_blocks)):
-            raise ConfigError("block_order must permute all blocks")
-
         validated = validate_initial(initial, n)
         scores = self.jump.copy() if validated is None \
             else validated.copy()
-        span = obs.span("block_engine.run", nodes=n,
-                        blocks=self.partition.num_blocks) \
-            if obs is not None else nullcontext()
-        stream = telemetry.open_stream("block_engine", kind="superstep") \
+        num_blocks = self.partition.num_blocks
+        stream = telemetry.open_stream(self._stream, kind="superstep") \
             if telemetry is not None else None
-        with span:
-            messages = 0
-            local_iterations = 0
-            blocks_skipped = 0
-            residual = float("inf")
-            supersteps = 0
-            changed_prev = np.ones(self.partition.num_blocks, dtype=bool)
+        local_iterations = 0
+        blocks_skipped = 0
+        changed_prev = np.ones(num_blocks, dtype=bool)
+        with self._solver(local_tol, local_max_iter, telemetry,
+                          obs) as solve:
             for supersteps in range(1, max_supersteps + 1):
                 superstep_start = time.perf_counter()
-                block_iterations: Optional[dict] = \
-                    {} if telemetry is not None else None
-                previous = scores.copy()
-                current = scores.copy()
-                step_local = 0
-                step_skipped = 0
-                resolved = np.zeros(self.partition.num_blocks,
-                                    dtype=bool)
-                changed_now = np.zeros(self.partition.num_blocks,
-                                       dtype=bool)
-                for block in order:
-                    sources = self._source_blocks[block]
-                    if compaction and not (
-                            changed_prev[block]
-                            or changed_prev[sources].any()
-                            or resolved[sources].any()):
-                        # Bit-exact no-op: same external, same start,
-                        # deterministic solve — skip it.
-                        step_skipped += 1
-                        if block_iterations is not None:
-                            block_iterations[block] = 0
-                        continue
-                    nodes = self._members[block]
-                    external = self._boundary_ops[block] @ current
-                    block_scores, inner = solve_block(
-                        self._internal_ops[block], external,
-                        self.jump[nodes], current[nodes], self.damping,
-                        local_tol, local_max_iter)
-                    changed_now[block] = not np.array_equal(
-                        block_scores, previous[nodes])
-                    resolved[block] = True
-                    current[nodes] = block_scores
-                    step_local += inner
-                    if block_iterations is not None:
+                previous = scores
+                with maybe_span(obs, "superstep", index=supersteps):
+                    # block -> inner iterations this superstep; the
+                    # decision pass enters the skipped blocks, as 0.
+                    block_iterations: Dict[int, int] = {}
+                    dispatch: List[List[int]] = []
+                    for block_ids in slots:
+                        # Same-slot activity is tracked in solve order:
+                        # those blocks see each other's fresh values.
+                        resolved = np.zeros(num_blocks, dtype=bool)
+                        chosen: List[int] = []
+                        for block in block_ids:
+                            sources = self._source_blocks[block]
+                            if (changed_prev[block]
+                                    or changed_prev[sources].any()
+                                    or resolved[sources].any()):
+                                chosen.append(block)
+                                resolved[block] = True
+                            else:
+                                block_iterations[block] = 0
+                        dispatch.append(chosen)
+                    step_skipped = len(block_iterations)
+                    scores = previous.copy()
+                    changed_now = np.zeros(num_blocks, dtype=bool)
+                    for block, block_scores, inner in solve(
+                            supersteps, previous, dispatch):
+                        nodes = self._members[block]
+                        scores[nodes] = block_scores
+                        changed_now[block] = not np.array_equal(
+                            block_scores, previous[nodes])
                         block_iterations[block] = inner
-                changed_prev = changed_now
-                local_iterations += step_local
-                blocks_skipped += step_skipped
-                if telemetry is not None and step_skipped:
-                    telemetry.incr("blocks_skipped", step_skipped)
-                messages += self._cut_edges
-                change = np.abs(current - previous)
-                residual = float(change.sum())
-                scores = current
-                if telemetry is not None:
+                    changed_prev = changed_now
+                    step_local = sum(block_iterations.values())
+                    local_iterations += step_local
+                    blocks_skipped += step_skipped
+                    if telemetry is not None and step_skipped:
+                        telemetry.incr("blocks_skipped", step_skipped)
+                    change = np.abs(scores - previous)
+                    residual = float(change.sum())
                     seconds = time.perf_counter() - superstep_start
-                    telemetry.record_superstep(
-                        seconds, self._cut_edges, residual,
-                        local_iterations=step_local,
-                        block_iterations=block_iterations)
-                    stream.record(
-                        residual, delta=float(change.max()),
-                        active=int(np.count_nonzero(change > tol)),
-                        seconds=seconds)
+                    if telemetry is not None:
+                        telemetry.record_superstep(
+                            seconds, self._cut_edges, residual,
+                            local_iterations=step_local,
+                            block_iterations=block_iterations)
+                        stream.record(
+                            residual, delta=float(change.max()),
+                            active=int(np.count_nonzero(change > tol)),
+                            seconds=seconds)
+                    if obs is not None:
+                        obs.metrics.counter(
+                            "repro_supersteps_total",
+                            "Block-engine supersteps executed.").inc()
+                        obs.metrics.histogram(
+                            "repro_superstep_seconds",
+                            "Wall-clock seconds per block-engine "
+                            "superstep.").observe(seconds)
                 if residual <= tol:
                     break
-        converged = residual <= tol
-        scores = scores / scores.sum()
-        return BlockRankResult(scores, supersteps, messages,
-                               local_iterations, residual, converged,
-                               blocks_skipped)
+        return BlockRankResult(
+            scores / scores.sum(), supersteps, supersteps * self._cut_edges,
+            local_iterations, residual, residual <= tol, blocks_skipped)
 
 
 def vertex_centric_pagerank(graph: CSRGraph, partition: Partition,
@@ -400,8 +469,8 @@ def vertex_centric_pagerank(graph: CSRGraph, partition: Partition,
                             max_supersteps: int = 200,
                             jump: Optional[np.ndarray] = None,
                             edge_weights: Optional[np.ndarray] = None,
-                            telemetry: Optional["SolverTelemetry"] = None,
-                            obs: Optional["Observability"] = None
+                            telemetry: Optional[SolverTelemetry] = None,
+                            obs: Optional[Observability] = None
                             ) -> BlockRankResult:
     """Pregel-style baseline: one Jacobi iteration per superstep.
 
@@ -413,30 +482,23 @@ def vertex_centric_pagerank(graph: CSRGraph, partition: Partition,
         raise ConfigError(f"damping must be in [0, 1), got {damping}")
     if tol <= 0 or max_supersteps <= 0:
         raise ConfigError("tol and max_supersteps must be positive")
-    if obs is not None and telemetry is None:
-        telemetry = obs.telemetry
+    telemetry = resolve_telemetry(obs, telemetry)
     n = graph.num_nodes
     if n == 0:
         return BlockRankResult(np.zeros(0), 0, 0, 0, 0.0, True)
     if partition.num_nodes != n:
         raise ConfigError("partition does not cover this graph")
 
-    from repro.ranking.pagerank import build_transition
-
     transition_t, _ = build_transition(graph, edge_weights)
     jump_vector = validate_jump(jump, n)
     cut = partition.edge_cut(graph)
 
     scores = jump_vector.copy()
-    span = obs.span("vertex_centric.run", nodes=n,
-                    blocks=partition.num_blocks) \
-        if obs is not None else nullcontext()
     stream = telemetry.open_stream("vertex_centric", kind="superstep") \
         if telemetry is not None else None
-    with span:
+    with maybe_span(obs, "vertex_centric.run", nodes=n,
+                    blocks=partition.num_blocks):
         messages = 0
-        residual = float("inf")
-        supersteps = 0
         for supersteps in range(1, max_supersteps + 1):
             superstep_start = time.perf_counter()
             new_scores = damping * (transition_t @ scores) \

@@ -4,7 +4,11 @@ Reproduces the paper's parallel-scalability experiment on one machine:
 each worker process owns a set of blocks (built once, in the worker, via
 an initializer), and every superstep ships the previous global score
 vector to workers and block scores back — the in-process analogue of a
-graph-centric distributed runtime.
+graph-centric distributed runtime. The superstep loop is not here:
+:class:`ParallelBlockEngine` is a
+:class:`repro.engine.blocks.BlockEngine` whose slots are worker
+processes, and this module holds only what is parallel — the data
+planes, dispatch and recovery.
 
 Two data planes, selected by ``shared_memory``:
 
@@ -51,22 +55,22 @@ to the fault-free run, which the fault-injection suite asserts with
 ``np.array_equal``. Shared segments are closed and unlinked in a
 ``finally`` block, so neither a clean nor a crashed run leaks one.
 
-The fixed point is identical to :class:`repro.engine.blocks.BlockEngine`
-for ``num_workers=1`` and identical across data planes for any worker
-count; only wall-clock changes with ``num_workers`` (E5's speedup
-curve).
+With ``num_workers=1`` every :class:`BlockRankResult` field equals the
+serial engine's (one slot, same loop), and the fixed point is identical
+across data planes for any worker count; only wall-clock changes with
+``num_workers`` (E5's speedup curve).
 """
 
 from __future__ import annotations
 
 import pickle
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -74,11 +78,11 @@ from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import Partition
 from repro.engine.blocks import (
+    BlockEngine,
     BlockRankResult,
-    _block_operators,
+    _solve_block_set,
     flatten_block_payload,
     rebuild_block_payload,
-    solve_block,
 )
 from repro.engine.shm import (
     SHARED_MEMORY_AVAILABLE,
@@ -89,13 +93,10 @@ from repro.engine.shm import (
     map_views,
     pack_arrays,
 )
+from repro.obs.handle import Observability, maybe_span
+from repro.obs.telemetry import SolverTelemetry
 from repro.obs.trace import Span, TraceContext, Tracer, _new_id
-from repro.ranking.pagerank import validate_jump
 from repro.resilience import Deadline, FaultPlan, RetryPolicy
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.obs.handle import Observability
-    from repro.obs.telemetry import SolverTelemetry
 
 # Worker-process state, installed by _init_worker.
 _WORKER_BLOCKS: Dict[int, tuple] = {}
@@ -178,33 +179,6 @@ def _read_frontier(epoch: int) -> np.ndarray:
         raise StaleFrontierError(
             f"epoch advanced past {epoch} during the frontier copy")
     return previous
-
-
-def _solve_block_set(blocks: Dict[int, tuple], block_ids: List[int],
-                     previous: np.ndarray, damping: float,
-                     local_tol: float, local_max_iter: int
-                     ) -> List[Tuple[int, np.ndarray, int]]:
-    """Solve a set of blocks sequentially with fresh local values.
-
-    Cross-worker coupling sees the previous superstep; blocks owned by
-    the same worker see each other's freshly computed scores (the
-    asynchronous-within-partition trait of graph-centric runtimes).
-
-    This is the *single* solve path: worker processes and the
-    coordinator's degraded-worker fallback both call it, which is what
-    makes recovery bit-identical to normal execution.
-    """
-    working = previous.copy()
-    results = []
-    for block_id in block_ids:
-        internal_op, boundary_op, jump_block, members = blocks[block_id]
-        external = boundary_op @ working
-        scores, inner = solve_block(
-            internal_op, external, jump_block, working[members],
-            damping, local_tol, local_max_iter)
-        working[members] = scores
-        results.append((block_id, scores, inner))
-    return results
 
 
 def _attach_span(trace_ctx: TraceContext) -> Dict[str, object]:
@@ -293,11 +267,13 @@ class _ShmRun:
             destroy_segment(self.segments.pop())
 
 
-class ParallelBlockEngine:
+class ParallelBlockEngine(BlockEngine):
     """Graph-centric PageRank across ``num_workers`` processes.
 
-    Blocks are dealt to workers in contiguous chunks; each superstep
-    dispatches one task per worker (its whole block set), so scheduling
+    A :class:`repro.engine.blocks.BlockEngine` whose slots are worker
+    processes: blocks are dealt to workers in contiguous chunks, and
+    each superstep dispatches one task per worker (the blocks of its
+    slot the inherited coordinator decided to re-solve), so scheduling
     overhead stays constant as block count grows.
 
     ``shared_memory`` selects the IPC data plane: ``"auto"`` (default)
@@ -314,6 +290,8 @@ class ParallelBlockEngine:
     resilience test suite and must stay ``None`` in production runs.
     """
 
+    _stream = "parallel_engine"
+
     def __init__(self, graph: CSRGraph, partition: Partition,
                  damping: float = 0.85, num_workers: int = 2,
                  jump: Optional[np.ndarray] = None,
@@ -324,19 +302,12 @@ class ParallelBlockEngine:
                  shared_memory: Union[bool, str] = "auto") -> None:
         if num_workers <= 0:
             raise ConfigError("num_workers must be positive")
-        if partition.num_nodes != graph.num_nodes:
-            raise ConfigError("partition does not cover this graph")
-        if not 0.0 <= damping < 1.0:
-            raise ConfigError(f"damping must be in [0, 1), got {damping}")
         if shared_memory not in (True, False, "auto"):
             raise ConfigError(
                 f"shared_memory must be True, False or 'auto', "
                 f"got {shared_memory!r}")
-        self.graph = graph
-        self.partition = partition
-        self.damping = damping
+        super().__init__(graph, partition, damping, jump, edge_weights)
         self.num_workers = num_workers
-        self.jump = validate_jump(jump, graph.num_nodes)
         self.retry_policy = retry_policy if retry_policy is not None \
             else RetryPolicy()
         self.deadline = deadline
@@ -348,14 +319,6 @@ class ParallelBlockEngine:
         #: which data plane the most recent ``run`` actually used.
         self.last_used_shared_memory: bool = False
 
-        operators = _block_operators(graph, partition, edge_weights)
-        members = operators.members
-        internal_ops = operators.internal_ops
-        boundary_ops = operators.boundary_ops
-        self._members = members
-        self._dangling = operators.dangling
-        self._cut_edges = operators.cut_edges
-        self._source_blocks = operators.source_blocks
         # Contiguous chunks of blocks per worker (for a time-ordered range
         # partition, each worker owns one contiguous time span), processed
         # newest-first within the worker.
@@ -369,9 +332,7 @@ class ParallelBlockEngine:
         # Per-worker payloads: each worker's initializer receives only
         # the blocks it owns, never the whole graph.
         self._worker_payloads: List[Dict[int, tuple]] = [
-            {block: (internal_ops[block], boundary_ops[block],
-                     self.jump[members[block]], members[block])
-             for block in block_ids}
+            {block: self._blocks[block] for block in block_ids}
             for block_ids in self._assignment_to_worker
         ]
         # Pickle-plane payload buffers, serialized once on first use and
@@ -395,8 +356,8 @@ class ParallelBlockEngine:
         return SHARED_MEMORY_AVAILABLE
 
     def _create_shm(self, active, n: int,
-                    telemetry: Optional["SolverTelemetry"],
-                    obs: Optional["Observability"]) -> _ShmRun:
+                    telemetry: Optional[SolverTelemetry],
+                    obs: Optional[Observability]) -> _ShmRun:
         """Pack block operators and the score board into segments.
 
         Raises ``OSError`` when the platform refuses a segment; callers
@@ -404,13 +365,12 @@ class ParallelBlockEngine:
         created segments are destroyed before re-raising, so a failed
         setup leaks nothing.
         """
-        span = obs.span("ipc.shm_create", workers=len(active), nodes=n) \
-            if obs is not None else nullcontext()
         run = _ShmRun(segments=[], segment_names=[], total_bytes=0,
                       epoch=None, frontier=None, result=None,
                       init_buffers={})
         try:
-            with span:
+            with maybe_span(obs, "ipc.shm_create", workers=len(active),
+                            nodes=n):
                 board_segment, board_layout = pack_arrays(
                     {"epoch": np.zeros(1, dtype=np.int64),
                      "frontier": np.zeros((2, n), dtype=np.float64),
@@ -446,31 +406,19 @@ class ParallelBlockEngine:
                 "current parallel run.").set(run.total_bytes)
         return run
 
-    def _worker_init_bytes(self, worker: int,
-                           board: Optional[_ShmRun]) -> bytes:
-        """The (cached, serialized-once) pool-init payload for a worker."""
-        if board is not None:
-            return board.init_buffers[worker]
-        buffer = self._payload_buffers[worker]
-        if buffer is None:
-            buffer = pickle.dumps(self._worker_payloads[worker],
-                                  pickle.HIGHEST_PROTOCOL)
-            self._payload_buffers[worker] = buffer
-        return buffer
-
-    def _spawn_pool(self, worker: int,
-                    init_bytes: bytes) -> ProcessPoolExecutor:
+    def _spawn_pool(self, worker: int, board: Optional[_ShmRun],
+                    telemetry: Optional[SolverTelemetry],
+                    obs: Optional[Observability]) -> ProcessPoolExecutor:
         """One single-process pool whose initializer ships exactly this
-        worker's payload (pickled blocks, or segment layouts)."""
-        return ProcessPoolExecutor(
-            max_workers=1, initializer=_init_worker,
-            initargs=(init_bytes, self.damping, worker, self.fault_plan))
-
-    def _record_spawn(self, worker: int, init_bytes: bytes,
-                      board: Optional[_ShmRun],
-                      telemetry: Optional["SolverTelemetry"],
-                      obs: Optional["Observability"]) -> None:
-        """Account one pool (re)spawn: bytes, and attaches on shm."""
+        worker's payload (segment layouts, or pickled blocks); accounts
+        the (re)spawn: bytes, and attaches on shm."""
+        if board is not None:
+            init_bytes = board.init_buffers[worker]
+        else:
+            if self._payload_buffers[worker] is None:
+                self._payload_buffers[worker] = pickle.dumps(
+                    self._worker_payloads[worker], pickle.HIGHEST_PROTOCOL)
+            init_bytes = self._payload_buffers[worker]
         if telemetry is not None:
             telemetry.record_bytes(len(init_bytes))
             if board is not None:
@@ -480,13 +428,16 @@ class ParallelBlockEngine:
                 "repro_ipc_attaches_total",
                 "Worker attaches to shared-memory segments "
                 "(including respawns).").inc()
+        return ProcessPoolExecutor(
+            max_workers=1, initializer=_init_worker,
+            initargs=(init_bytes, self.damping, worker, self.fault_plan))
 
     def _dispatch(self, pool: ProcessPoolExecutor, slot: int,
                   block_ids: List[int], previous: np.ndarray,
-                  epoch: int, board: Optional[_ShmRun],
+                  board: Optional[_ShmRun],
                   local_tol: float, local_max_iter: int, superstep: int,
                   attempt: int, trace_ctx: Optional[TraceContext],
-                  telemetry: Optional["SolverTelemetry"]):
+                  telemetry: Optional[SolverTelemetry]):
         """Serialize one task exactly once, count it, and submit it.
 
         On the zero-copy plane the tuple carries no arrays — only block
@@ -494,10 +445,10 @@ class ParallelBlockEngine:
         control-message floor telemetry should observe.
         """
         if board is not None:
-            args = (block_ids, None, epoch, board.write_ok.get(slot,
-                                                               False),
-                    local_tol, local_max_iter, superstep, attempt,
-                    trace_ctx)
+            # The frontier epoch is the superstep number.
+            args = (block_ids, None, superstep,
+                    board.write_ok.get(slot, False), local_tol,
+                    local_max_iter, superstep, attempt, trace_ctx)
         else:
             args = (block_ids, previous, 0, False, local_tol,
                     local_max_iter, superstep, attempt, trace_ctx)
@@ -508,49 +459,18 @@ class ParallelBlockEngine:
 
     # ------------------------------------------------------------------
 
-    def _solve_inline(self, block_ids: List[int],
-                      payload: Dict[int, tuple], previous: np.ndarray,
-                      local_tol: float, local_max_iter: int
-                      ) -> List[Tuple[int, np.ndarray, int]]:
-        """Degraded path: the coordinator stands in for a dead worker."""
-        return _solve_block_set(payload, block_ids, previous,
-                                self.damping, local_tol, local_max_iter)
-
-    def _solve_degraded(self, block_ids: List[int],
-                        payload: Dict[int, tuple], previous: np.ndarray,
-                        local_tol: float, local_max_iter: int,
-                        obs: Optional["Observability"], worker: int
-                        ) -> List[Tuple[int, np.ndarray, int]]:
-        """Inline solve for an already-degraded worker, traced as a
-        ``worker.solve_inline`` span so degraded supersteps stay visible
-        in the trace."""
-        span = obs.span("worker.solve_inline", worker=worker,
-                        blocks=len(block_ids), degraded=True) \
-            if obs is not None else nullcontext()
-        with span:
-            return self._solve_inline(block_ids, payload, previous,
-                                      local_tol, local_max_iter)
-
     def run(self, tol: float = 1e-10, max_supersteps: int = 100,
             local_tol: float = 1e-12, local_max_iter: int = 50,
-            compaction: bool = True,
-            telemetry: Optional["SolverTelemetry"] = None,
-            obs: Optional["Observability"] = None
+            telemetry: Optional[SolverTelemetry] = None,
+            obs: Optional[Observability] = None
             ) -> BlockRankResult:
         """Run supersteps across the worker pool until convergence.
 
-        ``compaction`` (default on) elides provably no-op block solves:
-        a block is dispatched only when its own scores changed (bitwise)
-        during the previous superstep, a source block changed during the
-        previous superstep, or a *same-worker* source block is being
-        re-solved earlier in this superstep (cross-worker coupling reads
-        the previous superstep's frontier, so only same-worker activity
-        can alter a block's input mid-superstep). A worker none of whose
-        blocks are active receives no dispatch at all that superstep.
-        Scores, residual trajectory and superstep count are bit-exactly
-        unchanged; ``local_iterations``, shipped bytes and
-        ``blocks_skipped`` show the saved work. Message accounting
-        (cut edges per superstep) is intentionally untouched.
+        Every non-empty worker is one slot of the inherited coordinator
+        (:meth:`repro.engine.blocks.BlockEngine._run`, which states the
+        block-skip rule): its blocks see each other's fresh values,
+        other workers' are read from the previous superstep's frontier,
+        and a worker with nothing to re-solve gets no dispatch at all.
 
         ``telemetry`` (optional) records per-superstep wall-clock,
         boundary messages, residual and per-block inner iterations, plus
@@ -572,16 +492,18 @@ class ParallelBlockEngine:
         ``recovery.respawn`` / ``recovery.degrade`` spans on the
         recovery path, and counters/histograms in ``obs.metrics``.
         """
-        if tol <= 0 or local_tol <= 0:
-            raise ConfigError("tolerances must be positive")
-        if max_supersteps <= 0 or local_max_iter <= 0:
-            raise ConfigError("iteration budgets must be positive")
-        if obs is not None and telemetry is None:
-            telemetry = obs.telemetry
-        n = self.graph.num_nodes
-        if n == 0:
-            return BlockRankResult(np.zeros(0), 0, 0, 0, 0.0, True)
+        slots = [ids for ids in self._assignment_to_worker if ids]
+        return self._run(slots, None, tol, max_supersteps, local_tol,
+                         local_max_iter, telemetry, obs)
 
+    @contextmanager
+    def _solver(self, local_tol: float, local_max_iter: int,
+                telemetry: Optional[SolverTelemetry],
+                obs: Optional[Observability]) -> Iterator[Callable]:
+        """Set up the data plane and the pools, yield the dispatching
+        solve step inside the ``parallel.run`` span, tear everything
+        down in ``finally`` — clean run or crashed coordinator alike."""
+        n = self.graph.num_nodes
         active = [(worker, block_ids, self._worker_payloads[worker])
                   for worker, block_ids
                   in enumerate(self._assignment_to_worker) if block_ids]
@@ -597,163 +519,65 @@ class ParallelBlockEngine:
                         f"failed: {exc}") from exc
                 if obs is not None:
                     obs.event("ipc.shm_fallback", error=str(exc))
-                board = None
-        self.last_used_shared_memory = board is not None
-        self.last_shm_segments = list(board.segment_names) \
-            if board is not None else []
-
-        scores = self.jump.copy()
-        messages = 0
-        local_iterations = 0
-        blocks_skipped = 0
-        residual = float("inf")
-        supersteps = 0
-        num_blocks = self.partition.num_blocks
-        changed_prev = np.ones(num_blocks, dtype=bool)
-        deadline_seconds = None if self.deadline is None \
-            else self.deadline.seconds
-        retries = self.retry_policy.delays()
-        stream = telemetry.open_stream("parallel_engine",
-                                       kind="superstep") \
-            if telemetry is not None else None
-        superstep_hist = obs.metrics.histogram(
-            "repro_superstep_seconds",
-            "Wall-clock seconds per parallel superstep.") \
-            if obs is not None else None
-        run_span = obs.span("parallel.run", nodes=n,
-                            workers=len(active),
-                            blocks=self.partition.num_blocks,
-                            shm=board is not None) \
-            if obs is not None else nullcontext()
         # One single-process pool per worker; a ``None`` slot marks a
         # worker degraded to inline coordinator execution.
         pools: List[Optional[ProcessPoolExecutor]] = []
+        retries = self.retry_policy.delays()
+
+        def solve(superstep, previous, dispatch):
+            if board is not None:
+                # Fully publish the frontier, then bump the epoch: the
+                # order is what the workers' seqlock read relies on.
+                board.frontier[superstep % 2, :] = previous
+                board.epoch[0] = superstep
+            trace_ctx = obs.tracer.current_context() \
+                if obs is not None else None
+            futures = [
+                self._dispatch(pools[slot], slot, block_ids, previous,
+                               board, local_tol, local_max_iter,
+                               superstep, 0, trace_ctx, telemetry)
+                if block_ids and pools[slot] is not None else None
+                for slot, block_ids in enumerate(dispatch)]
+            for slot, block_ids in enumerate(dispatch):
+                if not block_ids:
+                    continue
+                worker, _, payload = active[slot]
+                if futures[slot] is None:
+                    # Degraded earlier: traced so those supersteps stay
+                    # visible in the trace.
+                    with maybe_span(obs, "worker.solve_inline",
+                                    worker=worker, blocks=len(block_ids),
+                                    degraded=True):
+                        results = _solve_block_set(
+                            payload, block_ids, previous, self.damping,
+                            local_tol, local_max_iter)
+                else:
+                    results = self._collect_with_recovery(
+                        slot, futures[slot], worker, block_ids, payload,
+                        pools, previous, local_tol, local_max_iter,
+                        superstep, retries, telemetry, trace_ctx, obs,
+                        board)
+                for block, block_scores, inner in results:
+                    if block_scores is None:
+                        # Zero-copy return: the worker wrote straight
+                        # into the result buffer.
+                        block_scores = board.result[self._members[block]]
+                    yield block, block_scores, inner
+
         try:
-            for worker, block_ids, payload in active:
-                init_bytes = self._worker_init_bytes(worker, board)
+            self.last_used_shared_memory = board is not None
+            self.last_shm_segments = list(board.segment_names) \
+                if board is not None else []
+            for worker, block_ids, _ in active:
                 if telemetry is not None:
                     telemetry.record_worker(worker, block_ids)
-                self._record_spawn(worker, init_bytes, board,
-                                   telemetry, obs)
-                pools.append(self._spawn_pool(worker, init_bytes))
-            with run_span:
-                for supersteps in range(1, max_supersteps + 1):
-                    superstep_start = time.perf_counter()
-                    previous = scores.copy()
-                    if board is not None:
-                        # Fully publish the frontier, then bump the
-                        # epoch: the order is what the workers' seqlock
-                        # read relies on.
-                        board.frontier[supersteps % 2, :] = previous
-                        board.epoch[0] = supersteps
-                    step_span = obs.span("superstep", index=supersteps) \
-                        if obs is not None else nullcontext()
-                    with step_span:
-                        trace_ctx = obs.tracer.current_context() \
-                            if obs is not None else None
-                        # Frontier compaction: decide, per worker, which
-                        # of its blocks actually need a re-solve this
-                        # superstep (see the docstring for the bit-exact
-                        # skip rule). Same-worker activity is tracked in
-                        # dispatch order because those blocks see each
-                        # other's fresh values within the superstep.
-                        dispatch_ids: List[List[int]] = []
-                        step_skipped = 0
-                        for worker, block_ids, payload in active:
-                            if not compaction:
-                                dispatch_ids.append(list(block_ids))
-                                continue
-                            worker_active = np.zeros(num_blocks,
-                                                     dtype=bool)
-                            chosen: List[int] = []
-                            for block in block_ids:
-                                sources = self._source_blocks[block]
-                                if (changed_prev[block]
-                                        or changed_prev[sources].any()
-                                        or worker_active[sources].any()):
-                                    chosen.append(block)
-                                    worker_active[block] = True
-                            step_skipped += len(block_ids) - len(chosen)
-                            dispatch_ids.append(chosen)
-                        futures: List[Optional[object]] = []
-                        for slot, (worker, block_ids, payload) \
-                                in enumerate(active):
-                            if pools[slot] is None \
-                                    or not dispatch_ids[slot]:
-                                futures.append(None)
-                                continue
-                            futures.append(self._dispatch(
-                                pools[slot], slot, dispatch_ids[slot],
-                                previous, supersteps, board, local_tol,
-                                local_max_iter, supersteps, 0,
-                                trace_ctx, telemetry))
-                        new_scores = scores.copy()
-                        step_local = 0
-                        changed_now = np.zeros(num_blocks, dtype=bool)
-                        block_iterations: Optional[dict] = \
-                            {} if telemetry is not None else None
-                        for slot, (worker, block_ids, payload) \
-                                in enumerate(active):
-                            ids = dispatch_ids[slot]
-                            if block_iterations is not None:
-                                for block_id in block_ids:
-                                    if block_id not in ids:
-                                        block_iterations[block_id] = 0
-                            if not ids:
-                                continue
-                            if futures[slot] is None:
-                                results = self._solve_degraded(
-                                    ids, payload, previous,
-                                    local_tol, local_max_iter, obs,
-                                    worker)
-                            else:
-                                results = self._collect_with_recovery(
-                                    slot, futures[slot], active, pools,
-                                    previous, local_tol, local_max_iter,
-                                    supersteps, deadline_seconds,
-                                    retries, telemetry, trace_ctx, obs,
-                                    board, dispatch_ids=ids)
-                            for block_id, block_scores, inner in results:
-                                members = self._members[block_id]
-                                if block_scores is None:
-                                    # Zero-copy return: the worker wrote
-                                    # straight into the result buffer.
-                                    block_scores = board.result[members]
-                                new_scores[members] = block_scores
-                                changed_now[block_id] = \
-                                    not np.array_equal(block_scores,
-                                                       previous[members])
-                                step_local += inner
-                                if block_iterations is not None:
-                                    block_iterations[block_id] = inner
-                        changed_prev = changed_now
-                        local_iterations += step_local
-                        blocks_skipped += step_skipped
-                        if telemetry is not None and step_skipped:
-                            telemetry.incr("blocks_skipped",
-                                           step_skipped)
-                        messages += self._cut_edges
-                        change = np.abs(new_scores - previous)
-                        residual = float(change.sum())
-                        scores = new_scores
-                        seconds = time.perf_counter() - superstep_start
-                        if telemetry is not None:
-                            telemetry.record_superstep(
-                                seconds, self._cut_edges, residual,
-                                local_iterations=step_local,
-                                block_iterations=block_iterations)
-                            stream.record(
-                                residual, delta=float(change.max()),
-                                active=int(np.count_nonzero(
-                                    change > tol)),
-                                seconds=seconds)
-                        if obs is not None:
-                            obs.metrics.counter(
-                                "repro_supersteps_total",
-                                "Parallel supersteps executed.").inc()
-                            superstep_hist.observe(seconds)
-                    if residual <= tol:
-                        break
+                pools.append(self._spawn_pool(worker, board, telemetry,
+                                              obs))
+            with maybe_span(obs, "parallel.run", nodes=n,
+                            workers=len(active),
+                            blocks=self.partition.num_blocks,
+                            shm=board is not None):
+                yield solve
                 if obs is not None:
                     obs.metrics.gauge(
                         "repro_active_workers",
@@ -766,29 +590,24 @@ class ParallelBlockEngine:
                     pool.shutdown()
             if board is not None:
                 board.cleanup()
-        converged = residual <= tol
-        scores = scores / scores.sum()
-        return BlockRankResult(scores, supersteps, messages,
-                               local_iterations, residual, converged,
-                               blocks_skipped=blocks_skipped)
 
     # ------------------------------------------------------------------
     # failure handling
 
-    def _collect_with_recovery(self, slot, future, active, pools,
-                               previous, local_tol, local_max_iter,
-                               superstep, deadline_seconds, retries,
-                               telemetry, trace_ctx=None, obs=None,
-                               board=None, dispatch_ids=None):
+    def _collect_with_recovery(self, slot, future, worker, block_ids,
+                               payload, pools, previous, local_tol,
+                               local_max_iter, superstep, retries,
+                               telemetry, trace_ctx, obs, board):
         """Await one worker's results, retrying through crashes/hangs.
 
         On failure the worker's pool is torn down and respawned — on the
         zero-copy plane the replacement re-attaches the segments — and
         the identical task re-dispatched (inputs are immutable, so a
-        replay is safe). After ``retry_policy.max_retries`` replacements
-        the worker is degraded: its pool slot becomes ``None`` and the
-        coordinator solves its blocks inline — this superstep and every
-        later one.
+        replay is safe; replays and the degraded fallback solve exactly
+        the dispatched ``block_ids`` subset). After
+        ``retry_policy.max_retries`` replacements the worker is
+        degraded: its pool slot becomes ``None`` and the coordinator
+        solves its blocks inline — this superstep and every later one.
 
         A *timeout* additionally poisons the slot's shared-memory write
         path for the rest of the run: the abandoned process may still be
@@ -804,11 +623,8 @@ class ParallelBlockEngine:
         ``repro_worker_failures_total{kind=...}`` /
         ``repro_recoveries_total{kind=...}`` counters.
         """
-        worker, block_ids, payload = active[slot]
-        if dispatch_ids is not None:
-            # Compaction dispatched a subset; replays and the degraded
-            # fallback must solve exactly that subset.
-            block_ids = dispatch_ids
+        deadline_seconds = None if self.deadline is None \
+            else self.deadline.seconds
         attempt = 0
         while True:
             try:
@@ -853,31 +669,24 @@ class ParallelBlockEngine:
                             "repro_recoveries_total",
                             "Recovery actions taken by the coordinator.",
                             labels=("kind",)).inc(kind="degrade")
-                    degrade_span = obs.span(
-                        "recovery.degrade", worker=worker,
-                        superstep=superstep, attempt=attempt,
-                        blocks=len(block_ids)) \
-                        if obs is not None else nullcontext()
-                    with degrade_span:
-                        return self._solve_inline(block_ids, payload,
-                                                  previous, local_tol,
-                                                  local_max_iter)
-                respawn_span = obs.span(
-                    "recovery.respawn", worker=worker,
-                    superstep=superstep, attempt=attempt, cause=kind) \
-                    if obs is not None else nullcontext()
-                with respawn_span:
+                    with maybe_span(obs, "recovery.degrade", worker=worker,
+                                    superstep=superstep, attempt=attempt,
+                                    blocks=len(block_ids)):
+                        return _solve_block_set(
+                            payload, block_ids, previous, self.damping,
+                            local_tol, local_max_iter)
+                with maybe_span(obs, "recovery.respawn", worker=worker,
+                                superstep=superstep, attempt=attempt,
+                                cause=kind):
                     delay = retries.next_delay()
                     if delay > 0:
                         time.sleep(delay)
-                    init_bytes = self._worker_init_bytes(worker, board)
-                    pools[slot] = self._spawn_pool(worker, init_bytes)
+                    pools[slot] = self._spawn_pool(worker, board,
+                                                   telemetry, obs)
                     if telemetry is not None:
                         telemetry.record_recovery(superstep, worker,
                                                   "respawn", attempt,
                                                   block_ids)
-                    self._record_spawn(worker, init_bytes, board,
-                                       telemetry, obs)
                     if obs is not None:
                         obs.metrics.counter(
                             "repro_recoveries_total",
@@ -886,7 +695,7 @@ class ParallelBlockEngine:
                     try:
                         future = self._dispatch(
                             pools[slot], slot, block_ids, previous,
-                            superstep, board, local_tol, local_max_iter,
+                            board, local_tol, local_max_iter,
                             superstep, attempt, trace_ctx, telemetry)
                     except BrokenProcessPool:  # pragma: no cover
                         # The replacement died before accepting work;

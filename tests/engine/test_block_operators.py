@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from repro.engine import blocks, parallel
+from repro.engine import blocks
 from repro.engine.blocks import BlockEngine, BlockOperators, _block_operators
 from repro.engine.parallel import ParallelBlockEngine
 from repro.graph.csr import CSRGraph
@@ -173,9 +173,9 @@ def test_engine_scores_equal_the_mask_build(graphs, case, monkeypatch):
     graph, weights = graphs[case]
     partition = hash_partition(graph, 5, seed=1)
     built = engine_results(graph, partition, weights)
-    # The coordinator builds the operators and ships them to its workers.
+    # Both engines build through BlockEngine.__init__; the parallel
+    # coordinator ships what it built to its workers.
     monkeypatch.setattr(blocks, "_block_operators", mask_block_operators)
-    monkeypatch.setattr(parallel, "_block_operators", mask_block_operators)
     expected = engine_results(graph, partition, weights)
     for result, reference in zip(built, expected):
         assert reference.converged

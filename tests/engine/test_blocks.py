@@ -9,6 +9,9 @@ from repro.graph.csr import CSRGraph
 from repro.graph.partition import hash_partition, range_partition
 from repro.ranking.pagerank import pagerank
 
+from .test_superstep_oracle import (assert_equals_oracle, chain_graph,
+                                    oracle_for)
+
 
 @pytest.fixture(scope="module")
 def dataset_graph(request):
@@ -122,43 +125,30 @@ class TestVertexCentric:
 
 
 class TestFrontierCompaction:
-    """Compaction must be a bit-exact no-op with measurable savings."""
-
-    def _chain_graph(self):
-        # Nodes 0-19 form self-contained per-block chains that settle
-        # after one superstep; nodes 20-39 form a long cross-block cycle
-        # that keeps iterating, so the quiet blocks get skipped.
-        edges = [(i, i + 1) for i in range(20) if (i + 1) % 5 != 0]
-        edges += [(i, 20 + (i - 19) % 20) for i in range(20, 40)]
-        return CSRGraph.from_edges(edges, nodes=range(40))
+    """Compaction must be a bit-exact no-op with measurable savings:
+    the engine against the never-skipping oracle loop."""
 
     def test_bit_identical_with_and_without(self, small_dataset):
         graph = small_dataset.citation_csr()
-        partition = range_partition(graph, 4)
-        engine = BlockEngine(graph, partition)
-        on = engine.run(tol=1e-12, compaction=True)
-        off = engine.run(tol=1e-12, compaction=False)
-        assert np.array_equal(on.scores, off.scores)
-        assert on.supersteps == off.supersteps
-        assert on.residual == off.residual
-        assert on.messages == off.messages
-        assert off.blocks_skipped == 0
+        engine = BlockEngine(graph, range_partition(graph, 4))
+        result = engine.run(tol=1e-12)
+        assert_equals_oracle(result, oracle_for(
+            engine, [[3, 2, 1, 0]], tol=1e-12))
 
     def test_skips_recorded_and_work_saved(self):
-        graph = self._chain_graph()
-        partition = range_partition(graph, 8)
-        engine = BlockEngine(graph, partition)
-        on = engine.run(tol=1e-13, local_tol=1e-14, compaction=True)
-        off = engine.run(tol=1e-13, local_tol=1e-14, compaction=False)
-        assert np.array_equal(on.scores, off.scores)
-        assert on.supersteps == off.supersteps
-        assert on.blocks_skipped > 0
-        assert on.local_iterations < off.local_iterations
+        graph = chain_graph()
+        engine = BlockEngine(graph, range_partition(graph, 8))
+        result = engine.run(tol=1e-13, local_tol=1e-14)
+        oracle = oracle_for(engine, [list(range(7, -1, -1))],
+                            tol=1e-13, local_tol=1e-14)
+        assert_equals_oracle(result, oracle)
+        assert result.blocks_skipped > 0
+        assert result.local_iterations < oracle.local_iterations
 
     def test_telemetry_counts_skips(self):
         from repro.obs import SolverTelemetry
 
-        graph = self._chain_graph()
+        graph = chain_graph()
         partition = range_partition(graph, 8)
         telemetry = SolverTelemetry("blocks")
         result = BlockEngine(graph, partition).run(

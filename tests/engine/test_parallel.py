@@ -8,6 +8,9 @@ from repro.engine.parallel import ParallelBlockEngine
 from repro.graph.partition import range_partition
 from repro.ranking.pagerank import pagerank
 
+from .test_superstep_oracle import (assert_equals_oracle, chain_graph,
+                                    oracle_for)
+
 
 class TestParallelBlockEngine:
     def test_two_workers_match_reference(self, small_dataset):
@@ -70,60 +73,50 @@ class TestPayloadDiscipline:
 
 
 class TestParallelCompaction:
-    """Frontier compaction: bit-exact across planes, less work done."""
-
-    def _chain_graph(self):
-        from repro.graph.csr import CSRGraph
-
-        # Self-contained chains (blocks 0-3) settle in one superstep;
-        # a long cross-block cycle (blocks 4-7) keeps iterating.
-        edges = [(i, i + 1) for i in range(20) if (i + 1) % 5 != 0]
-        edges += [(i, 20 + (i - 19) % 20) for i in range(20, 40)]
-        return CSRGraph.from_edges(edges, nodes=range(40))
+    """Frontier compaction: bit-exact across planes, less work done —
+    the engine against the never-skipping oracle loop."""
 
     @pytest.mark.parametrize("plane", [False, "auto"])
     def test_bit_identical_with_and_without(self, plane):
-        graph = self._chain_graph()
-        partition = range_partition(graph, 8)
-        engine = ParallelBlockEngine(graph, partition, num_workers=3,
-                                     shared_memory=plane)
-        on = engine.run(tol=1e-13, local_tol=1e-14, compaction=True)
-        off = engine.run(tol=1e-13, local_tol=1e-14, compaction=False)
-        assert np.array_equal(on.scores, off.scores)
-        assert on.supersteps == off.supersteps
-        assert on.residual == off.residual
-        assert off.blocks_skipped == 0
-        assert on.blocks_skipped > 0
-        assert on.local_iterations < off.local_iterations
+        graph = chain_graph()
+        engine = ParallelBlockEngine(graph, range_partition(graph, 8),
+                                     num_workers=3, shared_memory=plane)
+        result = engine.run(tol=1e-13, local_tol=1e-14)
+        oracle = oracle_for(engine, tol=1e-13, local_tol=1e-14)
+        assert_equals_oracle(result, oracle)
+        assert result.blocks_skipped > 0
+        assert result.local_iterations < oracle.local_iterations
 
     def test_planes_agree_under_compaction(self):
-        graph = self._chain_graph()
+        graph = chain_graph()
         partition = range_partition(graph, 8)
         results = [
             ParallelBlockEngine(graph, partition, num_workers=3,
                                 shared_memory=plane).run(
-                tol=1e-13, local_tol=1e-14, compaction=True)
+                tol=1e-13, local_tol=1e-14)
             for plane in (False, "auto")
         ]
         assert np.array_equal(results[0].scores, results[1].scores)
         assert results[0].supersteps == results[1].supersteps
+        assert results[0].blocks_skipped == results[1].blocks_skipped > 0
 
     def test_matches_serial_engine(self):
         from repro.engine.blocks import BlockEngine
 
-        graph = self._chain_graph()
+        graph = chain_graph()
         partition = range_partition(graph, 8)
         serial = BlockEngine(graph, partition).run(
-            tol=1e-13, local_tol=1e-14, compaction=True)
+            tol=1e-13, local_tol=1e-14)
         parallel = ParallelBlockEngine(graph, partition,
                                        num_workers=1).run(
-            tol=1e-13, local_tol=1e-14, compaction=True)
+            tol=1e-13, local_tol=1e-14)
         assert np.array_equal(serial.scores, parallel.scores)
+        assert serial.blocks_skipped == parallel.blocks_skipped > 0
 
     def test_skips_counted_in_telemetry(self):
         from repro.obs import SolverTelemetry
 
-        graph = self._chain_graph()
+        graph = chain_graph()
         partition = range_partition(graph, 8)
         telemetry = SolverTelemetry("parallel")
         result = ParallelBlockEngine(graph, partition, num_workers=3).run(

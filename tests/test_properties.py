@@ -92,6 +92,39 @@ class TestSolverAgreement:
                                                    max_supersteps=1000)
         assert np.abs(result.scores - reference.scores).sum() < 1e-7
 
+    @settings(max_examples=40, deadline=None)
+    @given(graph_strategy(), st.data())
+    def test_block_engine_equals_the_never_skipping_loop(self, graph,
+                                                         data):
+        """Whatever the partition, order and starting point, skipping
+        blocks is a bit-exact no-op, and every block-superstep is either
+        solved or counted as skipped."""
+        from repro.engine.blocks import BlockEngine
+        from repro.graph.partition import Partition
+        from repro.obs import SolverTelemetry
+        from tests.engine.test_superstep_oracle import (
+            assert_equals_oracle, oracle_for)
+
+        n = graph.num_nodes
+        num_blocks = data.draw(st.integers(1, 5))
+        partition = Partition(np.array(data.draw(st.lists(
+            st.integers(0, num_blocks - 1), min_size=n, max_size=n))),
+            num_blocks)
+        order = data.draw(st.permutations(range(num_blocks)))
+        initial = data.draw(st.none() | st.lists(
+            st.floats(0.01, 1.0), min_size=n, max_size=n).map(np.array))
+        engine = BlockEngine(graph, partition)
+        telemetry = SolverTelemetry("blocks")
+        result = engine.run(block_order=order, initial=initial,
+                            telemetry=telemetry)
+        assert_equals_oracle(result, oracle_for(engine, [order],
+                                                initial=initial))
+        solved = sum(1 for record in telemetry.supersteps
+                     for inner in record.block_iterations.values()
+                     if inner > 0)
+        assert result.blocks_skipped + solved \
+            == num_blocks * result.supersteps
+
 
 class TestDistributionInvariants:
     @settings(max_examples=20, deadline=None)
