@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.data.schema import Article, ScholarlyDataset
-from repro.graph.csr import positions_in
+from repro.graph.csr import positions_in, unique_ids
 
 _NO_VENUE = np.iinfo(np.int64).min
 
@@ -81,9 +81,9 @@ class ArticleColumns:
         authors = _ints(chain.from_iterable(teams), int(indptr[-1]))
         venues = _ints((_NO_VENUE if article.venue_id is None
                         else article.venue_id for article in ordered), n)
-        venue_table = np.unique(venues[venues != _NO_VENUE]
-                                if venue_ids is None else _ints(venue_ids))
-        author_table = np.unique(
+        venue_table = unique_ids(venues[venues != _NO_VENUE]
+                                 if venue_ids is None else _ints(venue_ids))
+        author_table = unique_ids(
             authors if author_ids is None else _ints(author_ids))
         return cls(
             article_ids=_ints((article.id for article in ordered), n),

@@ -42,7 +42,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from repro.errors import ConfigError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, stable_order
 from repro.graph.partition import Partition
 from repro.obs.handle import Observability, maybe_span, resolve_telemetry
 from repro.obs.telemetry import SolverTelemetry
@@ -133,11 +133,12 @@ def _block_operators(graph: CSRGraph, partition: Partition,
         local_index[nodes] = np.arange(len(nodes))
     # One stable sort groups the edges by (destination block, internal
     # before boundary) and keeps CSR edge order inside each group, so a
-    # block's operators are built from contiguous slices. The narrowest
-    # key dtype: numpy's stable sort is a linear radix sort up to 16 bits.
-    group = (2 * dst_block + cut).astype(np.min_scalar_type(2 * num_blocks))
-    order = np.argsort(group, kind="stable")
-    bounds = np.searchsorted(group[order], np.arange(2 * num_blocks + 1))
+    # block's operators are built from contiguous slices. The key takes
+    # ``dst_block``'s buffer: no extra edge-length array stays live.
+    group = np.multiply(dst_block, 2, out=dst_block)
+    group += cut
+    order = stable_order(group, 2 * num_blocks)
+    bounds = np.searchsorted(group, range(2 * num_blocks + 1), sorter=order)
     values, cols = probability[order], src_idx[order]
     rows = local_index[dst_idx[order]]
 

@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 from repro.errors import ConfigError
 from repro.data.schema import ScholarlyDataset
-from repro.core.columns import ArticleColumns, positions_in
+from repro.core.columns import ArticleColumns
 from repro.core.time_weight import TimeDecay, exponential_decay
 from repro.core.twpr import (
     time_weight_edges,
@@ -45,7 +45,7 @@ from repro.engine.updates import (
     apply_update,
     validate_update_batch,
 )
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, positions_in, stable_order
 
 
 @dataclass(frozen=True)
@@ -221,8 +221,8 @@ class IncrementalEngine:
         """Extend the CSR and the article columns without a rebuild.
 
         Article arrivals append rows in O(batch) Python (ids resolve by
-        ``searchsorted``); citation insertions between existing
-        articles re-sort the combined edge arrays in numpy (O(m log m),
+        ``positions_in``); citation insertions between existing articles
+        regroup the combined edges by source in radix passes (O(m),
         still far cheaper than rebuilding from the dataset). Returns
         ``None`` when article ids arrive out of order, otherwise
         ``(graph, columns, edge_time_weights, new_node_indices,
@@ -301,7 +301,7 @@ class IncrementalEngine:
             inserted, dtype=np.int64).reshape(-1, 2).T
 
         src = np.concatenate([graph.edge_array()[0], inserted_src])
-        order = np.argsort(src, kind="stable")
+        order = stable_order(src, len(node_ids))
         indptr = np.zeros(len(node_ids) + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=len(node_ids)),
                   out=indptr[1:])

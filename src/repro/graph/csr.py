@@ -20,14 +20,51 @@ from repro.errors import GraphError, NodeNotFoundError
 
 
 def positions_in(table: np.ndarray, values) -> np.ndarray:
-    """Index of each of ``values`` in the ascending ``table``, ``-1``
-    where it is absent."""
+    """Index of each of ``values`` in the ascending ``table`` (the first
+    of equal entries), ``-1`` where absent; direct-addressed when the id
+    span is below both ``2 * len(table)`` and the binary search's work."""
     values = np.asarray(values, dtype=np.int64)
     if not len(table):
         return np.full(values.shape, -1, dtype=np.int64)
-    found = np.minimum(np.searchsorted(table, values), len(table) - 1)
+    low, high = int(table[0]), int(table[-1])
+    if high - low < min(2 * len(table),
+                        values.size * (len(table) - 1).bit_length()):
+        first = np.ones(len(table), dtype=bool)
+        np.not_equal(table[1:], table[:-1], out=first[1:])
+        slot = np.full(high - low + 1, -1, dtype=np.int64)
+        slot[table[first] - low] = np.flatnonzero(first)
+        found = slot[np.clip(values, low, high) - low]
+    else:
+        found = np.minimum(np.searchsorted(table, values), len(table) - 1)
     found[table[found] != values] = -1
     return found
+
+
+def stable_order(keys: np.ndarray, size: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer ``keys`` in
+    ``[0, size)``, by radix passes over 16-bit digits: numpy's stable
+    sort is linear for 8- and 16-bit dtypes, a comparison sort above."""
+    keys = np.asarray(keys)
+    digit = keys.astype(np.min_scalar_type(min(size, 1 << 16) - 1))
+    order = np.argsort(digit, kind="stable")
+    shift = 16
+    while size > 1 << shift:
+        digit = (keys >> shift).astype(np.uint16)[order]
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
+def unique_ids(values) -> np.ndarray:
+    """``np.unique(values)`` for integer ids; ids spanning fewer than
+    ``2 * len(values)`` are marked in a boolean table."""
+    values = np.asarray(values, dtype=np.int64)
+    low, high = (values.min(), values.max()) if values.size else (0, 0)
+    if int(high) - int(low) >= 2 * values.size:
+        return np.unique(values)
+    seen = np.zeros(int(high) - int(low) + 1, dtype=bool)
+    seen[values - low] = True
+    return np.flatnonzero(seen) + low
 
 
 class CSRGraph:
@@ -127,7 +164,7 @@ class CSRGraph:
         counts = np.bincount(src_idx, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        order = np.argsort(src_idx, kind="stable")
+        order = stable_order(src_idx, n)
         indices = dst_idx[order]
         data = np.asarray(weights, dtype=np.float64)[order]
         return cls(indptr, indices, data, node_ids)

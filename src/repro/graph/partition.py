@@ -21,7 +21,7 @@ from typing import List
 import numpy as np
 
 from repro.errors import PartitionError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, stable_order
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,8 @@ class Partition:
         if not 0 <= block < self.num_blocks:
             raise PartitionError(f"block {block} out of range")
         if self._members is None:
-            order = np.argsort(self.assignment, kind="stable")
-            bounds = np.searchsorted(self.assignment[order],
-                                     np.arange(self.num_blocks + 1))
+            order = stable_order(self.assignment, self.num_blocks)
+            bounds = np.concatenate(([0], np.cumsum(self.block_sizes())))
             members = [order[bounds[b]:bounds[b + 1]]
                        for b in range(self.num_blocks)]
             object.__setattr__(self, "_members", members)

@@ -20,8 +20,9 @@ from typing import (Dict, Iterator, List, Mapping, Optional, Tuple,
 import numpy as np
 
 from repro.errors import ConfigError, NodeNotFoundError
-from repro.core.columns import ArticleColumns, positions_in
+from repro.core.columns import ArticleColumns
 from repro.data.schema import ScholarlyDataset
+from repro.graph.csr import positions_in, stable_order
 from repro.graph.toposort import ragged_offsets
 
 
@@ -47,7 +48,7 @@ def _postings(keys: np.ndarray, positions: np.ndarray,
     """
     keyed = keys >= 0
     keys, positions = keys[keyed], positions[keyed]
-    grouped = positions[np.argsort(keys, kind="stable")]
+    grouped = positions[stable_order(keys, len(table))]
     sizes = np.bincount(keys, minlength=len(table))
     stops = np.cumsum(sizes)
     used = np.flatnonzero(sizes)

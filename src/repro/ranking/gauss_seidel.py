@@ -39,7 +39,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from repro.errors import ConfigError, ConvergenceError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, stable_order
 from repro.graph.scc import condensation
 from repro.graph.toposort import topological_levels, topological_sort
 from repro.ranking.pagerank import (
@@ -102,7 +102,7 @@ def _sweep_segments(graph: CSRGraph, src_idx: np.ndarray,
     rank_of_node = np.empty(n, dtype=np.int64)
     rank_of_node[node_order] = np.arange(n)
     rows = rank_of_node[graph.indices]
-    edge_order = np.argsort(rows, kind="stable")
+    edge_order = stable_order(rows, n)
     sorted_src = src_idx[edge_order]
     sorted_probability = probability[edge_order]
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -185,9 +185,10 @@ def gauss_seidel_pagerank(graph: CSRGraph, damping: float = 0.85,
     if kernel == "levels":
         decomposition = topological_levels(graph)
         key = decomposition.levels * 2 + decomposition.cyclic_mask
-        node_order = np.argsort(key, kind="stable")
-        keys, sizes = np.unique(key, return_counts=True)
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        sizes = np.bincount(key)
+        node_order = stable_order(key, len(sizes))
+        keys = np.flatnonzero(sizes)
+        bounds = np.concatenate(([0], np.cumsum(sizes[keys])))
         per_node = keys % 2 == 1
     else:
         node_order = np.asarray(order if order is not None

@@ -6,17 +6,23 @@ or edges in Python, and the operator build must not rescan every edge
 once per block. Interpreter opcodes (``count_opcodes``, shared with the
 publish gate) see the first; the second is numpy work no opcode counts,
 so it is metered by the number of array elements that flow out of the
-partition assignment.
+partition assignment. A cold rank must also resolve and group its dense
+ids in linear passes: no edge- or authorship-length array reaches a
+binary search or a comparison sort.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
+from repro.core.model import ArticleRanker
 from repro.core.twpr import time_weighted_pagerank
 from repro.data.generator import GeneratorConfig, generate_dataset
 from repro.engine.blocks import _block_operators
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import range_partition
+from repro.query.index import RankIndex
 
 from .test_block_operators import mask_block_operators
 
@@ -98,16 +104,79 @@ def test_twpr_opcodes_grow_with_levels_not_nodes(
         f"swept per node in Python")
 
 
+@pytest.fixture()
+def superlinear_calls(monkeypatch):
+    """``(call, elements, caller)`` for every ``np.searchsorted`` query
+    array, every stable ``np.argsort`` of keys wider than 16 bits and
+    every ``np.unique`` input — the calls whose cost is not linear in
+    their input (``np.unique`` sorts through ``ndarray.sort``, which no
+    ``np.argsort`` wrapper sees)."""
+    calls = []
+    searchsorted, argsort, unique = np.searchsorted, np.argsort, np.unique
+
+    def caller() -> str:
+        frame = sys._getframe(2)
+        return f"{frame.f_code.co_name} <- {frame.f_back.f_code.co_name}"
+
+    def metered_searchsorted(table, values, *args, **kwargs):
+        calls.append(("np.searchsorted", np.size(values), caller()))
+        return searchsorted(table, values, *args, **kwargs)
+
+    def metered_argsort(keys, *args, **kwargs):
+        if (kwargs.get("kind") in ("stable", "mergesort")
+                or kwargs.get("stable")) \
+                and np.asarray(keys).dtype.itemsize > 2:
+            calls.append(("stable np.argsort", np.size(keys), caller()))
+        return argsort(keys, *args, **kwargs)
+
+    def metered_unique(values, *args, **kwargs):
+        calls.append(("np.unique", np.size(values), caller()))
+        return unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", metered_searchsorted)
+    monkeypatch.setattr(np, "argsort", metered_argsort)
+    monkeypatch.setattr(np, "unique", metered_unique)
+    return calls
+
+
+@pytest.mark.parametrize("size", [SMALL, LARGE])
+def test_cold_rank_resolves_and_groups_ids_in_linear_passes(
+        corpora, size, superlinear_calls):
+    """Dense ids resolve by direct addressing and group by 16-bit radix
+    passes: one ``rank`` + ``RankIndex`` hands neither an edge-length
+    nor an authorship-length array to a binary search, a comparison
+    sort or ``np.unique`` (article-length score sorts remain)."""
+    corpus = corpora[size]
+    articles = corpus.articles.values()
+    edges = sum(len(article.references) for article in articles)
+    authorships = sum(len(article.author_ids) for article in articles)
+    assert len(articles) < min(edges, authorships)
+    result = ArticleRanker().rank(corpus)
+    RankIndex(corpus, result.by_id())
+    assert superlinear_calls, "the meter saw no call at all"
+    heavy = [call for call in superlinear_calls
+             if call[1] >= min(edges, authorships)]
+    assert not heavy, (
+        f"{len(articles)} articles, {edges} references, {authorships} "
+        f"authorships: these calls are not linear in an edge- or "
+        f"authorship-length input: {heavy}")
+
+
 class MeteredArray(np.ndarray):
     """Counts the elements every ufunc produces from it and from
-    whatever is derived from it (results stay metered)."""
+    whatever is derived from it, in place or not (results stay
+    metered)."""
 
     produced = 0
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        result = getattr(ufunc, method)(
-            *(np.asarray(value) if isinstance(value, MeteredArray)
-              else value for value in inputs), **kwargs)
+        def plain(values):
+            return tuple(np.asarray(value) if isinstance(value, MeteredArray)
+                         else value for value in values)
+
+        if "out" in kwargs:
+            kwargs["out"] = plain(kwargs["out"])
+        result = getattr(ufunc, method)(*plain(inputs), **kwargs)
         MeteredArray.produced += np.size(result)
         return result.view(MeteredArray) \
             if isinstance(result, np.ndarray) else result
