@@ -5,7 +5,7 @@ Usage:
 
 Without an argument, the script writes a small AMiner-format file from
 the synthetic generator first, so the full pipeline — parse the AMiner
-text format, persist into SQLite, rank, compare against baselines —
+text format, persist as JSONL, reload, rank, compare against baselines —
 runs end-to-end offline. Point it at a genuine ``DBLP-Citation-network``
 dump and the identical code ranks the real corpus.
 """
@@ -17,8 +17,8 @@ from pathlib import Path
 from repro import ArticleRanker
 from repro.data.aminer import parse_aminer, write_aminer
 from repro.data.generator import aminer_like_config, generate_dataset
+from repro.data.io import load_dataset_jsonl, save_dataset_jsonl
 from repro.ranking import citation_count, pagerank
-from repro.storage import DatasetStore
 
 
 def ensure_input(argv) -> Path:
@@ -40,32 +40,27 @@ def main() -> None:
           f"{len(problems)} schema problems)")
 
     # Persist once; re-ranking later skips the parse.
-    store_path = Path(tempfile.gettempdir()) / "aminer_demo.db"
-    with DatasetStore(store_path) as store:
-        store.save_dataset(dataset, overwrite=True)
+    snapshot_path = Path(tempfile.gettempdir()) / "aminer_demo.jsonl"
+    save_dataset_jsonl(dataset, snapshot_path)
+    dataset = load_dataset_jsonl(snapshot_path)
+    print(f"saved and reloaded the snapshot via {snapshot_path}")
 
-        result = ArticleRanker().rank(dataset)
-        store.save_ranking(dataset.name, "qisar", result.by_id(),
-                           overwrite=True)
+    result = ArticleRanker().rank(dataset)
+    graph = dataset.citation_csr()
+    ids = [int(i) for i in graph.node_ids]
+    pr_top = sorted(zip(ids, pagerank(graph).scores),
+                    key=lambda p: -p[1])[:5]
+    print("\npagerank top-5 ids: "
+          f"{[article_id for article_id, _ in pr_top]}")
 
-        graph = dataset.citation_csr()
-        ids = [int(i) for i in graph.node_ids]
-        store.save_ranking(dataset.name, "pagerank",
-                           dict(zip(ids, pagerank(graph).scores)),
-                           overwrite=True)
-        store.save_ranking(dataset.name, "citations",
-                           dict(zip(ids, citation_count(graph))),
-                           overwrite=True)
-
-        print(f"\nstored rankings: {store.list_rankings(dataset.name)}")
-        print("\nmodel top-5 vs citation-count top-5:")
-        model_top = store.top_articles(dataset.name, "qisar", limit=5)
-        count_top = store.top_articles(dataset.name, "citations", limit=5)
-        for (m_id, m_score), (c_id, c_count) in zip(model_top, count_top):
-            m_title = dataset.articles[m_id].title[:32]
-            c_title = dataset.articles[c_id].title[:32]
-            print(f"  {m_score:.4f} {m_title:<34} || "
-                  f"{c_count:6.0f} {c_title}")
+    print("\nmodel top-5 vs citation-count top-5:")
+    counts = citation_count(graph)
+    count_top = sorted(zip(ids, counts), key=lambda p: -p[1])[:5]
+    for (m_id, m_score), (c_id, c_count) in zip(result.top(5), count_top):
+        m_title = dataset.articles[m_id].title[:32]
+        c_title = dataset.articles[c_id].title[:32]
+        print(f"  {m_score:.4f} {m_title:<34} || "
+              f"{c_count:6.0f} {c_title}")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ A from-scratch reproduction of the paper's full system:
   AMiner/MAG format parsers.
 * :mod:`repro.graph` — the directed-graph kernel.
 * :mod:`repro.eval` — effectiveness metrics and protocols.
-* :mod:`repro.storage` — SQLite persistence.
 
 Quickstart::
 

@@ -6,11 +6,9 @@ Commands:
     top       — filtered top-k (venue / author / year range).
     venues    — rank the dataset's venues.
     authors   — rank the dataset's authors.
-    sample    — carve a sub-corpus (random / snowball / forest-fire).
     stats     — print citation-graph statistics of a dataset.
     evaluate  — rank a *synthetic* dataset and score it against its
                 planted ground truth.
-    store     — persist a dataset into a SQLite store / list stored ones.
     profile   — rank a dataset with solver telemetry on and print the
                 stage/iteration breakdown (optionally save JSON).
     trace     — run a ranking under span tracing and pretty-print the
@@ -61,7 +59,6 @@ from repro.data.mag import parse_mag_directory
 from repro.data.schema import ScholarlyDataset
 from repro.eval.protocol import evaluate_ranking
 from repro.graph.stats import compute_stats
-from repro.storage.store import DatasetStore
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.engine.updates import UpdateBatch
@@ -180,24 +177,6 @@ def _command_authors(args: argparse.Namespace) -> int:
             ranking.top(args.top), start=1):
         print(f"{position:4d}  {score:.6f}  "
               f"{dataset.authors[author_id].name}")
-    return 0
-
-
-def _command_sample(args: argparse.Namespace) -> int:
-    from repro.data.sampling import (
-        forest_fire_sample,
-        random_article_sample,
-        snowball_sample,
-    )
-
-    samplers = {"random": random_article_sample,
-                "snowball": snowball_sample,
-                "forest-fire": forest_fire_sample}
-    dataset = _load_any(args.dataset)
-    sample = samplers[args.method](dataset, args.size, seed=args.seed)
-    save_dataset_jsonl(sample, args.output)
-    print(f"wrote {sample.num_articles} articles "
-          f"({sample.num_citations} citations) to {args.output}")
     return 0
 
 
@@ -719,22 +698,6 @@ def _command_watch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_store(args: argparse.Namespace) -> int:
-    with DatasetStore(args.db) as store:
-        if args.dataset is None:
-            names = store.list_datasets()
-            if not names:
-                print("(store is empty)")
-            for name in names:
-                print(name)
-            return 0
-        dataset = _load_any(args.dataset)
-        store.save_dataset(dataset, overwrite=args.overwrite)
-        print(f"stored {dataset.name!r} "
-              f"({dataset.num_articles} articles) in {args.db}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -783,16 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
     authors.add_argument("--top", type=int, default=15)
     _add_ranker_arguments(authors)
     authors.set_defaults(handler=_command_authors)
-
-    sample = commands.add_parser(
-        "sample", help="carve a sub-corpus out of a dataset")
-    sample.add_argument("dataset")
-    sample.add_argument("output")
-    sample.add_argument("--method", default="forest-fire",
-                        choices=["random", "snowball", "forest-fire"])
-    sample.add_argument("--size", type=int, required=True)
-    sample.add_argument("--seed", type=int, default=0)
-    sample.set_defaults(handler=_command_sample)
 
     stats = commands.add_parser("stats", help="citation-graph statistics")
     stats.add_argument("dataset")
@@ -904,13 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--bundle-dir", type=str, default=None,
                        help="auto-save incident bundles here")
     watch.set_defaults(handler=_command_watch)
-
-    store = commands.add_parser(
-        "store", help="persist datasets in a SQLite store")
-    store.add_argument("db")
-    store.add_argument("dataset", nargs="?")
-    store.add_argument("--overwrite", action="store_true")
-    store.set_defaults(handler=_command_store)
 
     resume = commands.add_parser(
         "resume", help="report a live checkpoint's health and continue "

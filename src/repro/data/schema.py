@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.errors import DatasetError
 from repro.graph.csr import CSRGraph, positions_in
-from repro.graph.digraph import DiGraph
 
 
 @dataclass(frozen=True)
@@ -167,13 +166,6 @@ class ScholarlyDataset:
             for ref in article.references:
                 if ref in self.articles and ref != article.id:
                     yield article.id, ref
-
-    def citation_graph(self) -> DiGraph:
-        """Mutable citation graph (edges point citing -> cited)."""
-        graph = DiGraph()
-        graph.add_nodes(self.articles.keys())
-        graph.add_edges(self.citation_edges())
-        return graph
 
     def citation_csr(self) -> CSRGraph:
         """Immutable CSR snapshot of the citation graph.

@@ -23,15 +23,6 @@ class NodeNotFoundError(GraphError):
         self.node = node
 
 
-class EdgeNotFoundError(GraphError):
-    """A referenced edge does not exist in the graph."""
-
-    def __init__(self, src: int, dst: int) -> None:
-        super().__init__(f"edge {src!r} -> {dst!r} not found in graph")
-        self.src = src
-        self.dst = dst
-
-
 class ConvergenceError(ReproError):
     """An iterative solver failed to converge within its iteration budget."""
 
@@ -59,7 +50,11 @@ class ParseError(DatasetError):
 
 
 class StorageError(ReproError):
-    """The persistent store rejected an operation."""
+    """A persisted artifact is missing, corrupt or unwritable.
+
+    Raised for engine checkpoint rotations, ingest journal segments and
+    incident/report files.
+    """
 
 
 class ConfigError(ReproError):

@@ -1,19 +1,14 @@
 """Directed-graph kernel used by every other subsystem.
 
-The kernel has two complementary representations:
-
-* :class:`~repro.graph.digraph.DiGraph` — a mutable adjacency-map graph used
-  while building or updating a citation network.
-* :class:`~repro.graph.csr.CSRGraph` — an immutable, numpy-backed compressed
-  sparse row snapshot used by all iterative solvers.
+The kernel's one representation is :class:`~repro.graph.csr.CSRGraph`, an
+immutable, numpy-backed compressed sparse row graph used by all iterative
+solvers.
 
 Plus structural algorithms: Tarjan strongly-connected components,
 Kahn topological sort, partitioners and summary statistics.
 """
 
 from repro.graph.csr import CSRGraph
-from repro.graph.digraph import DiGraph
-from repro.graph.kcore import core_numbers, max_core
 from repro.graph.partition import (
     Partition,
     bfs_partition,
@@ -23,16 +18,9 @@ from repro.graph.partition import (
 from repro.graph.scc import condensation, strongly_connected_components
 from repro.graph.stats import GraphStats, compute_stats
 from repro.graph.toposort import is_dag, topological_sort
-from repro.graph.traversal import (
-    bfs_distances,
-    citation_depth,
-    reachable_set,
-    weakly_connected_components,
-)
 
 __all__ = [
     "CSRGraph",
-    "DiGraph",
     "Partition",
     "GraphStats",
     "bfs_partition",
@@ -43,10 +31,4 @@ __all__ = [
     "compute_stats",
     "is_dag",
     "topological_sort",
-    "core_numbers",
-    "max_core",
-    "bfs_distances",
-    "citation_depth",
-    "reachable_set",
-    "weakly_connected_components",
 ]

@@ -142,22 +142,6 @@ class CSRGraph:
                                  weights, node_ids)
 
     @classmethod
-    def from_digraph(cls, graph) -> "CSRGraph":
-        """Snapshot a :class:`~repro.graph.digraph.DiGraph`."""
-        node_ids = np.asarray(sorted(graph.nodes()), dtype=np.int64)
-        id_to_index = {int(node): i for i, node in enumerate(node_ids)}
-        m = graph.num_edges
-        src_idx = np.empty(m, dtype=np.int64)
-        dst_idx = np.empty(m, dtype=np.int64)
-        weights = np.empty(m, dtype=np.float64)
-        for k, (u, v, w) in enumerate(graph.edges()):
-            src_idx[k] = id_to_index[u]
-            dst_idx[k] = id_to_index[v]
-            weights[k] = w
-        return cls._from_indexed(len(node_ids), src_idx, dst_idx,
-                                 weights, node_ids)
-
-    @classmethod
     def _from_indexed(cls, n: int, src_idx: np.ndarray, dst_idx: np.ndarray,
                       weights: np.ndarray, node_ids: np.ndarray) -> "CSRGraph":
         """Assemble CSR arrays from pre-indexed edge endpoints."""

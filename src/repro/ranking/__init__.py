@@ -10,8 +10,8 @@ rankers; every one of them is implemented here from scratch:
   sweeps in a caller-chosen order; the batch optimization sweeps reverse
   topological order on (near-)acyclic citation graphs.
 * :func:`~repro.ranking.citation_count.citation_count` — raw citations.
-* :func:`~repro.ranking.simple` — age-normalized citation rate, recency,
-  venue-mean: the sanity baselines.
+* :func:`~repro.ranking.simple.citation_rate` — age-normalized citation
+  rate: the sanity baseline.
 * :func:`~repro.ranking.citerank.citerank` — CiteRank (Walker et al. 2007),
   PageRank with an exponential-recency jump vector.
 * :func:`~repro.ranking.futurerank.futurerank` — FutureRank (Sayyadi &
@@ -34,7 +34,7 @@ from repro.ranking.montecarlo import MonteCarloResult, monte_carlo_pagerank
 from repro.ranking.pagerank import PageRankResult, pagerank
 from repro.ranking.prank import PRankConfig, prank
 from repro.ranking.rescaled import rescale_by_age, rescaled_pagerank
-from repro.ranking.simple import citation_rate, recency_score, venue_mean
+from repro.ranking.simple import citation_rate
 
 __all__ = [
     "PageRankResult",
@@ -42,8 +42,6 @@ __all__ = [
     "gauss_seidel_pagerank",
     "citation_count",
     "citation_rate",
-    "recency_score",
-    "venue_mean",
     "citerank",
     "FutureRankConfig",
     "futurerank",

@@ -1,9 +1,8 @@
-"""Sanity baselines: citation rate, recency, venue mean.
+"""Sanity baseline: age-normalized citation rate.
 
-These anchor the effectiveness tables: any model worth publishing must
-clear them, and they expose the young-article bias that motivates
-time-aware ranking (raw counts starve recent work; recency alone ignores
-merit).
+It anchors the effectiveness tables: any model worth publishing must
+clear it, and it exposes the young-article bias that motivates
+time-aware ranking (raw counts starve recent work).
 """
 
 from __future__ import annotations
@@ -28,40 +27,3 @@ def citation_rate(graph: CSRGraph, years: np.ndarray,
     if np.any(age < 0):
         raise ConfigError("observation_year precedes some publications")
     return graph.in_degrees().astype(np.float64) / (age + 1.0)
-
-
-def recency_score(years: np.ndarray, observation_year: int,
-                  half_life: float = 5.0) -> np.ndarray:
-    """Pure recency: ``2 ** (-(observation_year - year) / half_life)``."""
-    if half_life <= 0:
-        raise ConfigError("half_life must be positive")
-    years = np.asarray(years, dtype=np.float64)
-    age = observation_year - years
-    if np.any(age < 0):
-        raise ConfigError("observation_year precedes some publications")
-    return np.power(2.0, -age / half_life)
-
-
-def venue_mean(venue_of: np.ndarray, base_scores: np.ndarray) -> np.ndarray:
-    """Score each article by the mean ``base_scores`` of its venue.
-
-    ``venue_of[i]`` is the venue index of article ``i`` (``-1`` = none;
-    such articles keep their own base score). Used as the "venue prior"
-    baseline.
-    """
-    venue_of = np.asarray(venue_of, dtype=np.int64)
-    base_scores = np.asarray(base_scores, dtype=np.float64)
-    if venue_of.shape != base_scores.shape:
-        raise ConfigError("venue_of and base_scores must align")
-    scores = base_scores.copy()
-    valid = venue_of >= 0
-    if not np.any(valid):
-        return scores
-    num_venues = int(venue_of[valid].max()) + 1
-    sums = np.zeros(num_venues)
-    counts = np.zeros(num_venues)
-    np.add.at(sums, venue_of[valid], base_scores[valid])
-    np.add.at(counts, venue_of[valid], 1.0)
-    means = sums / np.maximum(counts, 1.0)
-    scores[valid] = means[venue_of[valid]]
-    return scores

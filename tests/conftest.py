@@ -12,7 +12,7 @@ import pytest
 
 from repro.data.generator import GeneratorConfig, generate_dataset
 from repro.data.schema import Article, Author, ScholarlyDataset, Venue
-from repro.graph.digraph import DiGraph
+from repro.graph.csr import CSRGraph
 
 
 def _count_opcodes(call) -> int:
@@ -62,22 +62,15 @@ def medium_dataset() -> "ScholarlyDataset":
 
 
 @pytest.fixture()
-def diamond_graph() -> DiGraph:
+def diamond_graph() -> CSRGraph:
     """1 -> {2, 3} -> 4 (plus 4 dangling): the smallest useful DAG."""
-    graph = DiGraph()
-    graph.add_edge(1, 2)
-    graph.add_edge(1, 3)
-    graph.add_edge(2, 4)
-    graph.add_edge(3, 4)
-    return graph
+    return CSRGraph.from_edges([(1, 2), (1, 3), (2, 4), (3, 4)])
 
 
 @pytest.fixture()
-def cyclic_graph() -> DiGraph:
+def cyclic_graph() -> CSRGraph:
     """A 3-cycle with a tail and a dangling sink."""
-    graph = DiGraph()
-    graph.add_edges([(1, 2), (2, 3), (3, 1), (3, 4), (5, 1)])
-    return graph
+    return CSRGraph.from_edges([(1, 2), (2, 3), (3, 1), (3, 4), (5, 1)])
 
 
 @pytest.fixture()

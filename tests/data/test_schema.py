@@ -107,10 +107,11 @@ class TestGraphViews:
         assert (0, 1) not in edges
 
     def test_citation_graph(self, tiny_dataset):
-        graph = tiny_dataset.citation_graph()
+        graph = tiny_dataset.citation_csr()
         assert graph.num_nodes == 5
         assert graph.num_edges == 5
-        assert graph.has_edge(4, 1)
+        cited = graph.node_ids[graph.neighbors(graph.index_of(4))]
+        assert 1 in cited.tolist()
 
     def test_citation_csr_id_order(self, tiny_dataset):
         csr = tiny_dataset.citation_csr()
@@ -122,8 +123,11 @@ class TestGraphViews:
                                     references=(1, 99)))
         dataset.add_article(Article(id=2, title="b", year=2001,
                                     references=(1,)))
-        graph = dataset.citation_graph()
+        graph = dataset.citation_csr()
         assert graph.num_edges == 1
+        assert graph.neighbors(graph.index_of(1)).size == 0
+        assert graph.node_ids[graph.neighbors(graph.index_of(2))].tolist() \
+            == [1]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_citation_csr_equals_the_edge_list_build(self, seed):

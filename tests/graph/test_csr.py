@@ -125,14 +125,6 @@ class TestConstruction:
         with pytest.raises(GraphError):
             CSRGraph.from_edges([(1, 2)], weights=[1.0, 2.0])
 
-    def test_from_digraph_matches(self, diamond_graph):
-        csr = CSRGraph.from_digraph(diamond_graph)
-        assert csr.num_nodes == diamond_graph.num_nodes
-        assert csr.num_edges == diamond_graph.num_edges
-        idx1 = csr.index_of(1)
-        targets = {int(csr.node_ids[t]) for t in csr.neighbors(idx1)}
-        assert targets == {2, 3}
-
     def test_invalid_arrays_rejected(self):
         with pytest.raises(GraphError):
             CSRGraph(np.array([0, 1]), np.array([0, 1]),
@@ -161,7 +153,7 @@ class TestQueries:
             graph.neighbor_weights(-1)
 
     def test_degrees(self, diamond_graph):
-        csr = diamond_graph.to_csr()
+        csr = diamond_graph
         assert csr.out_degrees().sum() == csr.num_edges
         assert csr.in_degrees().sum() == csr.num_edges
         assert csr.in_degrees()[csr.index_of(4)] == 2
@@ -173,16 +165,15 @@ class TestQueries:
         assert strengths[graph.index_of(2)] == 0.0
 
     def test_edge_array_roundtrip(self, diamond_graph):
-        csr = diamond_graph.to_csr()
+        csr = diamond_graph
         src, dst, weights = csr.edge_array()
         rebuilt = {(int(csr.node_ids[s]), int(csr.node_ids[d]))
                    for s, d in zip(src, dst)}
-        original = {(u, v) for u, v, _ in diamond_graph.edges()}
-        assert rebuilt == original
+        assert rebuilt == {(1, 2), (1, 3), (2, 4), (3, 4)}
         assert len(weights) == csr.num_edges
 
     def test_to_scipy(self, diamond_graph):
-        matrix = diamond_graph.to_csr().to_scipy()
+        matrix = diamond_graph.to_scipy()
         assert matrix.shape == (4, 4)
         assert matrix.nnz == 4
 
@@ -195,13 +186,13 @@ class TestQueries:
 
 class TestReverse:
     def test_reverse_swaps_edges(self, diamond_graph):
-        csr = diamond_graph.to_csr()
+        csr = diamond_graph
         rev = csr.reverse()
         assert rev.num_edges == csr.num_edges
         assert rev.in_degrees().tolist() == csr.out_degrees().tolist()
 
     def test_reverse_is_cached_and_involutive(self, diamond_graph):
-        csr = diamond_graph.to_csr()
+        csr = diamond_graph
         assert csr.reverse().reverse() is csr
 
     @settings(max_examples=30, deadline=None)

@@ -23,7 +23,7 @@ class TestKnownGraphs:
         assert sorted(components[0]) == [0, 1, 2]
 
     def test_dag_gives_singletons(self, diamond_graph):
-        graph = diamond_graph.to_csr()
+        graph = diamond_graph
         components = strongly_connected_components(graph)
         assert len(components) == 4
         assert all(len(c) == 1 for c in components)
@@ -51,14 +51,14 @@ class TestKnownGraphs:
 
 class TestCondensation:
     def test_condensation_is_dag(self, cyclic_graph):
-        graph = cyclic_graph.to_csr()
+        graph = cyclic_graph
         dag, membership = condensation(graph)
         assert topological_sort(dag) is not None
         assert len(membership) == graph.num_nodes
         assert dag.num_nodes == membership.max() + 1
 
     def test_membership_consistent(self, cyclic_graph):
-        graph = cyclic_graph.to_csr()
+        graph = cyclic_graph
         components = strongly_connected_components(graph)
         _, membership = condensation(graph)
         for comp_id, members in enumerate(components):

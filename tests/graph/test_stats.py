@@ -9,7 +9,7 @@ from repro.graph.stats import compute_stats, powerlaw_mle
 
 class TestComputeStats:
     def test_hand_computed(self, diamond_graph):
-        stats = compute_stats(diamond_graph.to_csr())
+        stats = compute_stats(diamond_graph)
         assert stats.num_nodes == 4
         assert stats.num_edges == 4
         assert stats.density == pytest.approx(4 / 12)
@@ -40,7 +40,7 @@ class TestComputeStats:
         assert np.isnan(stats.powerlaw_alpha)
 
     def test_as_row_keys_stable(self, diamond_graph):
-        row = compute_stats(diamond_graph.to_csr()).as_row()
+        row = compute_stats(diamond_graph).as_row()
         assert "|V|" in row and "alpha" in row and row["DAG"] == "yes"
 
 

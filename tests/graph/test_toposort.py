@@ -24,14 +24,14 @@ def dag_edges_strategy(max_nodes=12, max_edges=40):
 
 class TestTopologicalSort:
     def test_diamond(self, diamond_graph):
-        graph = diamond_graph.to_csr()
+        graph = diamond_graph
         order = topological_sort(graph)
         position = {node: i for i, node in enumerate(order)}
         for u, v, _ in graph.edges():
             assert position[u] < position[v]
 
     def test_cycle_returns_none(self, cyclic_graph):
-        assert topological_sort(cyclic_graph.to_csr()) is None
+        assert topological_sort(cyclic_graph) is None
 
     def test_deterministic_tie_break(self):
         graph = CSRGraph.from_edges([], nodes=[0, 1, 2, 3])
@@ -55,10 +55,10 @@ class TestTopologicalSort:
 
 class TestIsDag:
     def test_dag(self, diamond_graph):
-        assert is_dag(diamond_graph.to_csr())
+        assert is_dag(diamond_graph)
 
     def test_cyclic(self, cyclic_graph):
-        assert not is_dag(cyclic_graph.to_csr())
+        assert not is_dag(cyclic_graph)
 
     def test_self_loop_is_cyclic(self):
         graph = CSRGraph.from_edges([(0, 0)])
@@ -81,7 +81,7 @@ class TestRaggedOffsets:
 
 class TestTopologicalLevels:
     def test_diamond(self, diamond_graph):
-        graph = diamond_graph.to_csr()
+        graph = diamond_graph
         decomposition = topological_levels(graph)
         assert decomposition.acyclic
         assert decomposition.num_levels == 3
@@ -103,7 +103,7 @@ class TestTopologicalLevels:
         assert decomposition.num_levels == int(levels.max()) + 1
 
     def test_cyclic_graph_condenses(self, cyclic_graph):
-        graph = cyclic_graph.to_csr()
+        graph = cyclic_graph
         decomposition = topological_levels(graph)
         assert not decomposition.acyclic
         levels = decomposition.levels

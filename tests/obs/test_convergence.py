@@ -45,7 +45,7 @@ class TestSolverWiring:
         from repro.ranking.pagerank import pagerank
 
         telemetry = SolverTelemetry()
-        pagerank(cyclic_graph.to_csr(), telemetry=telemetry)
+        pagerank(cyclic_graph, telemetry=telemetry)
         stream = telemetry.convergence["pagerank"]
         assert stream.kind == "iteration"
         assert len(stream) == telemetry.iterations > 0
@@ -55,7 +55,7 @@ class TestSolverWiring:
         from repro.ranking.gauss_seidel import gauss_seidel_pagerank
 
         telemetry = SolverTelemetry()
-        gauss_seidel_pagerank(cyclic_graph.to_csr(), telemetry=telemetry)
+        gauss_seidel_pagerank(cyclic_graph, telemetry=telemetry)
         stream = telemetry.convergence["gauss_seidel"]
         assert len(stream) > 0
         # Residuals decay to below default tolerance.

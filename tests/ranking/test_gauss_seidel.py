@@ -13,14 +13,14 @@ from repro.ranking.pagerank import pagerank
 
 class TestInfluenceOrder:
     def test_dag_sources_first(self, diamond_graph):
-        graph = diamond_graph.to_csr()
+        graph = diamond_graph
         order = influence_order(graph)
         position = {node: i for i, node in enumerate(order)}
         for u, v, _ in graph.edges():
             assert position[u] < position[v]
 
     def test_cyclic_graph_uses_condensation(self, cyclic_graph):
-        graph = cyclic_graph.to_csr()
+        graph = cyclic_graph
         order = influence_order(graph)
         assert sorted(order.tolist()) == list(range(graph.num_nodes))
         # Node 5 feeds the cycle, node 4 drains it: 5 first, 4 last.
@@ -31,13 +31,13 @@ class TestInfluenceOrder:
 
 class TestFixedPoint:
     def test_matches_power_iteration_dag(self, diamond_graph):
-        graph = diamond_graph.to_csr()
+        graph = diamond_graph
         power = pagerank(graph, tol=1e-13, max_iter=500)
         sweep = gauss_seidel_pagerank(graph, tol=1e-13)
         assert np.abs(power.scores - sweep.scores).sum() < 1e-9
 
     def test_matches_power_iteration_cyclic(self, cyclic_graph):
-        graph = cyclic_graph.to_csr()
+        graph = cyclic_graph
         power = pagerank(graph, tol=1e-13, max_iter=500)
         sweep = gauss_seidel_pagerank(graph, tol=1e-13)
         assert np.abs(power.scores - sweep.scores).sum() < 1e-9
@@ -144,7 +144,7 @@ class TestLevelKernel:
         assert np.array_equal(auto.scores, levels.scores)
 
     def test_auto_with_custom_order_uses_pernode(self, diamond_graph):
-        graph = diamond_graph.to_csr()
+        graph = diamond_graph
         order = influence_order(graph).tolist()
         explicit = gauss_seidel_pagerank(graph, kernel="pernode",
                                          order=order)
@@ -153,12 +153,12 @@ class TestLevelKernel:
 
     def test_levels_rejects_custom_order(self, diamond_graph):
         with pytest.raises(ConfigError):
-            gauss_seidel_pagerank(diamond_graph.to_csr(),
+            gauss_seidel_pagerank(diamond_graph,
                                   kernel="levels", order=[3, 2, 1, 0])
 
     def test_unknown_kernel_rejected(self, diamond_graph):
         with pytest.raises(ConfigError):
-            gauss_seidel_pagerank(diamond_graph.to_csr(),
+            gauss_seidel_pagerank(diamond_graph,
                                   kernel="segmented")
 
     def test_levels_telemetry_counter(self, small_dataset):
@@ -174,14 +174,14 @@ class TestEdgeWeightGuard:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_gauss_seidel_rejects(self, diamond_graph, bad):
-        graph = diamond_graph.to_csr()
+        graph = diamond_graph
         weights = graph.weights.copy()
         weights[0] = bad
         with pytest.raises(ConfigError):
             gauss_seidel_pagerank(graph, edge_weights=weights)
 
     def test_shape_mismatch_rejected(self, diamond_graph):
-        graph = diamond_graph.to_csr()
+        graph = diamond_graph
         with pytest.raises(ConfigError):
             gauss_seidel_pagerank(graph,
                                   edge_weights=np.ones(graph.num_edges
@@ -190,12 +190,12 @@ class TestEdgeWeightGuard:
 
 class TestValidation:
     def test_custom_order_used(self, diamond_graph):
-        graph = diamond_graph.to_csr()
+        graph = diamond_graph
         result = gauss_seidel_pagerank(graph, order=[3, 2, 1, 0])
         assert result.converged
 
     def test_bad_order_rejected(self, diamond_graph):
-        graph = diamond_graph.to_csr()
+        graph = diamond_graph
         with pytest.raises(ConfigError):
             gauss_seidel_pagerank(graph, order=[0, 0, 1, 2])
 
@@ -204,7 +204,7 @@ class TestValidation:
     ])
     def test_invalid_parameters(self, kwargs, diamond_graph):
         with pytest.raises(ConfigError):
-            gauss_seidel_pagerank(diamond_graph.to_csr(), **kwargs)
+            gauss_seidel_pagerank(diamond_graph, **kwargs)
 
     def test_empty_graph(self):
         result = gauss_seidel_pagerank(CSRGraph.from_edges([], nodes=[]))

@@ -34,7 +34,7 @@ class TestMonteCarlo:
         assert result.walks == graph.num_nodes * 10
 
     def test_deterministic_given_seed(self, diamond_graph):
-        graph = diamond_graph.to_csr()
+        graph = diamond_graph
         a = monte_carlo_pagerank(graph, walks_per_node=50, seed=7)
         b = monte_carlo_pagerank(graph, walks_per_node=50, seed=7)
         assert np.array_equal(a.scores, b.scores)
@@ -72,4 +72,4 @@ class TestMonteCarlo:
     ])
     def test_validation(self, diamond_graph, kwargs):
         with pytest.raises(ConfigError):
-            monte_carlo_pagerank(diamond_graph.to_csr(), **kwargs)
+            monte_carlo_pagerank(diamond_graph, **kwargs)

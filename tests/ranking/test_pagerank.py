@@ -25,7 +25,7 @@ def nx_pagerank(edges, nodes, damping=0.85, personalization=None):
 
 class TestBasics:
     def test_scores_are_distribution(self, cyclic_graph):
-        result = pagerank(cyclic_graph.to_csr())
+        result = pagerank(cyclic_graph)
         assert result.converged
         assert result.scores.sum() == pytest.approx(1.0)
         assert (result.scores >= 0).all()

@@ -1,4 +1,4 @@
-"""Citation count, citation rate, recency and venue-mean baselines."""
+"""Citation count and citation rate baselines."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.graph.csr import CSRGraph
 from repro.ranking.citation_count import citation_count
-from repro.ranking.simple import citation_rate, recency_score, venue_mean
+from repro.ranking.simple import citation_rate
 
 
 class TestCitationCount:
@@ -18,7 +18,7 @@ class TestCitationCount:
         assert counts[graph.index_of(4)] == 0
 
     def test_float_dtype(self, diamond_graph):
-        assert citation_count(diamond_graph.to_csr()).dtype == np.float64
+        assert citation_count(diamond_graph).dtype == np.float64
 
 
 class TestCitationRate:
@@ -38,42 +38,3 @@ class TestCitationRate:
         graph = CSRGraph.from_edges([(1, 0)])
         with pytest.raises(ConfigError):
             citation_rate(graph, np.array([2000, 2010]), 2005)
-
-
-class TestRecency:
-    def test_half_life(self):
-        years = np.array([2010, 2005, 2000])
-        scores = recency_score(years, 2010, half_life=5.0)
-        assert scores[0] == pytest.approx(1.0)
-        assert scores[1] == pytest.approx(0.5)
-        assert scores[2] == pytest.approx(0.25)
-
-    def test_half_life_positive(self):
-        with pytest.raises(ConfigError):
-            recency_score(np.array([2000]), 2010, half_life=0)
-
-    def test_future_years_rejected(self):
-        with pytest.raises(ConfigError):
-            recency_score(np.array([2020]), 2010)
-
-
-class TestVenueMean:
-    def test_mean_per_venue(self):
-        venue_of = np.array([0, 0, 1, 1])
-        base = np.array([1.0, 3.0, 10.0, 20.0])
-        scores = venue_mean(venue_of, base)
-        assert scores.tolist() == [2.0, 2.0, 15.0, 15.0]
-
-    def test_venueless_keep_own_score(self):
-        venue_of = np.array([0, -1])
-        base = np.array([4.0, 7.0])
-        scores = venue_mean(venue_of, base)
-        assert scores.tolist() == [4.0, 7.0]
-
-    def test_all_venueless(self):
-        scores = venue_mean(np.array([-1, -1]), np.array([1.0, 2.0]))
-        assert scores.tolist() == [1.0, 2.0]
-
-    def test_alignment_checked(self):
-        with pytest.raises(ConfigError):
-            venue_mean(np.array([0]), np.array([1.0, 2.0]))

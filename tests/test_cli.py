@@ -63,27 +63,6 @@ class TestEvaluate:
         assert "spearman:" in out
 
 
-class TestStore:
-    def test_store_and_list(self, dataset_path, tmp_path, capsys):
-        db = tmp_path / "s.db"
-        assert main(["store", str(db), str(dataset_path)]) == 0
-        assert main(["store", str(db)]) == 0
-        out = capsys.readouterr().out
-        assert "synthetic-3" in out
-
-    def test_duplicate_store_fails_without_overwrite(self, dataset_path,
-                                                     tmp_path, capsys):
-        db = tmp_path / "s.db"
-        assert main(["store", str(db), str(dataset_path)]) == 0
-        assert main(["store", str(db), str(dataset_path)]) == 1
-        assert main(["store", str(db), str(dataset_path),
-                     "--overwrite"]) == 0
-
-    def test_empty_store_listing(self, tmp_path, capsys):
-        assert main(["store", str(tmp_path / "empty.db")]) == 0
-        assert "empty" in capsys.readouterr().out
-
-
 class TestProfile:
     def test_prints_breakdown(self, dataset_path, capsys):
         assert main(["profile", str(dataset_path)]) == 0

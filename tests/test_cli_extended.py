@@ -1,9 +1,8 @@
-"""Tests for the extended CLI commands (top / venues / authors / sample)."""
+"""Tests for the extended CLI commands (top / venues / authors)."""
 
 import pytest
 
 from repro.cli import main
-from repro.data.io import load_dataset_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -54,20 +53,3 @@ class TestEntityCommands:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
         assert "Author-" in lines[0]
-
-
-class TestSample:
-    @pytest.mark.parametrize("method", ["random", "snowball",
-                                        "forest-fire"])
-    def test_methods(self, dataset_path, tmp_path, method, capsys):
-        out_path = tmp_path / f"{method}.jsonl"
-        assert main(["sample", str(dataset_path), str(out_path),
-                     "--method", method, "--size", "100"]) == 0
-        sample = load_dataset_jsonl(out_path)
-        assert sample.num_articles == 100
-        assert sample.validate(strict=True) == []
-
-    def test_oversize_fails(self, dataset_path, tmp_path, capsys):
-        assert main(["sample", str(dataset_path),
-                     str(tmp_path / "x.jsonl"), "--size", "10000"]) == 1
-        assert "error:" in capsys.readouterr().err

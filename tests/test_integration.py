@@ -10,12 +10,12 @@ from repro import (
     RankerConfig,
 )
 from repro.data.aminer import parse_aminer, write_aminer
+from repro.data.io import load_dataset_jsonl, save_dataset_jsonl
 from repro.data.ground_truth import build_ground_truth
 from repro.engine.updates import yearly_updates
 from repro.eval.protocol import evaluate_ranking
 from repro.ranking.citation_count import citation_count
 from repro.ranking.pagerank import pagerank
-from repro.storage.store import DatasetStore
 
 
 class TestBatchPipeline:
@@ -42,16 +42,11 @@ class TestBatchPipeline:
 
     def test_rank_store_reload_rank(self, medium_dataset, tmp_path):
         result = ArticleRanker().rank(medium_dataset)
-        with DatasetStore(tmp_path / "s.db") as store:
-            store.save_dataset(medium_dataset)
-            store.save_ranking(medium_dataset.name, "qisar",
-                               result.by_id())
-            reloaded = store.load_dataset(medium_dataset.name)
-            top_stored = store.top_articles(medium_dataset.name,
-                                            "qisar", limit=10)
+        save_dataset_jsonl(medium_dataset, tmp_path / "s.jsonl")
+        reloaded = load_dataset_jsonl(tmp_path / "s.jsonl")
         again = ArticleRanker().rank(reloaded)
         assert [i for i, _ in again.top(10)] == \
-            [i for i, _ in top_stored]
+            [i for i, _ in result.top(10)]
 
     def test_format_roundtrip_preserves_ranking(self, small_dataset,
                                                 tmp_path):

@@ -162,16 +162,6 @@ class TestSerializationRoundTrips:
         assert loaded.venues == dataset.venues
         assert loaded.authors == dataset.authors
 
-    @settings(max_examples=10, deadline=None)
-    @given(dataset_strategy())
-    def test_store_roundtrip(self, dataset):
-        from repro.storage.store import DatasetStore
-
-        with DatasetStore(":memory:") as store:
-            store.save_dataset(dataset)
-            loaded = store.load_dataset(dataset.name)
-        assert loaded.articles == dataset.articles
-
 
 class TestRankingConsistency:
     @settings(max_examples=10, deadline=None)
