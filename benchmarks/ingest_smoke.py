@@ -8,8 +8,9 @@ one ``RunReport`` with:
 
 * ``metrics/records_lost`` / ``metrics/duplicates_applied`` — clean
   feed records missing from the final corpus, and records applied more
-  than once. Both computed from corpus sizes (not pipeline counters)
-  and deterministic: must stay 0;
+  than once. Both are multiset differences of article ids and citation
+  pairs between the corpora (not pipeline counters) and deterministic:
+  must stay 0;
 * ``metrics/bit_identical`` / ``metrics/contract_held`` — whether the
   chaos run's final ranking is score-for-score identical to the
   fault-free single-batch run, and the combined verdict. Deterministic:
@@ -49,6 +50,11 @@ import sys
 from typing import Optional, Sequence
 
 from repro.ingest import run_ingest_sim
+from repro.resilience import FaultPlan
+
+#: Every fault class the ingest sites take, armed in one run.
+FAULTS = ("source:stall:10@0.001", "source:error:20", "parse:crash:30",
+          "parse:crash:40x10", "ingest:crash:2", "partition:tear:0")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -65,9 +71,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sim = run_ingest_sim(
         records=args.records, seed=args.seed,
         duplicate_every=7, mangle_every=11, cite_every=5,
-        stall_record=10, stall_seconds=0.001, fail_record=20,
-        flaky_record=30, poison_record=40, crash_batch=2,
-        truncate_journal=True)
+        fault_plan=FaultPlan.of(*FAULTS))
     print(sim.render())
 
     if sim.status != "ok":

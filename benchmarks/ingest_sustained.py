@@ -9,8 +9,9 @@ so the journals stay bounded while the load runs. It writes one
 ``RunReport`` with:
 
 * ``metrics/records_lost`` / ``metrics/duplicates_applied`` — clean
-  feed records missing from (or double-applied to) the served corpus,
-  computed from corpus sizes against the fault-free reference batch.
+  feed records missing from (or double-applied to) the served corpus:
+  multiset differences of article ids and citation pairs against the
+  fault-free reference corpus.
   Deterministic: must stay 0 (CI hard-gates these);
 * ``metrics/records_per_sec`` — sustained ingest throughput,
   pull-to-served (wall clock; soft);
@@ -69,7 +70,7 @@ from repro.data.generator import GeneratorConfig, generate_dataset
 from repro.engine.live import LiveRanker
 from repro.ingest import (Coalescer, PartitionedIngestPipeline,
                           SyntheticSource, fault_free_reference)
-from repro.ingest.sim import datasets_equal
+from repro.ingest.sim import datasets_equal, delivery_diff
 from repro.engine.updates import apply_update
 from repro.obs import Observability
 from repro.obs.metrics import FRESHNESS_METRIC
@@ -156,15 +157,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     reference = fault_free_reference(source, dataset)
     reference_dataset = apply_update(dataset, reference)
-    expected_new = len(reference_dataset.articles) \
-        - len(dataset.articles)
-    applied_new = len(served_dataset.articles) - len(dataset.articles)
-    expected_edges = reference_dataset.num_citations
-    applied_edges = served_dataset.num_citations
-    lost = max(0, expected_new - applied_new) \
-        + max(0, expected_edges - applied_edges)
-    duplicated = max(0, applied_new - expected_new) \
-        + max(0, applied_edges - expected_edges)
+    lost, duplicated = delivery_diff(served_dataset, reference_dataset)
     identical = datasets_equal(served_dataset, reference_dataset)
 
     snapshot = obs.metrics.snapshot()

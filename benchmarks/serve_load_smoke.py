@@ -42,6 +42,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.data.generator import GeneratorConfig, generate_dataset
+from repro.resilience import FaultPlan
 from repro.serve import run_load
 
 CRASHED_SHARD = 1
@@ -71,7 +72,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report = run_load(dataset, num_shards=args.shards, mode=args.mode,
                       batches=args.batches, batch_size=16,
                       readers=args.readers, queries=args.queries,
-                      crash_shard=CRASHED_SHARD, fault_epoch=1)
+                      fault_plan=FaultPlan.of(
+                          f"shard:crash:{CRASHED_SHARD},1"))
     print(report.render())
 
     if report.status != "ok":

@@ -21,13 +21,14 @@ Commands:
     serve-load — drive concurrent readers against the serving gateway
                 (``--shards 1`` = the single-process tier) under
                 publish churn, optionally crash/NaN-poisoning chosen
-                batches and one shard, and report the health timeline,
-                sustained QPS, p50/p99 latency, and merge parity.
+                batches and shards (``--fault``), and report the health
+                timeline, sustained QPS, p50/p99 latency, and merge
+                parity.
     ingest-sim — run the streaming-ingest chaos harness (journal,
                 dedup, backpressure, crash-resume) against a synthetic
                 feed and report the delivery-contract verdict;
-                ``--partitions K`` sets the worker count and arms
-                per-partition crash/stall/tear faults.
+                ``--partitions K`` sets the worker count, ``--fault``
+                arms source/parse/ingest/partition faults.
     ingest-compact — archive (or delete) the sealed, cursor-covered
                 segments of every partition journal under a journal
                 root and report the bytes reclaimed.
@@ -201,6 +202,36 @@ def _command_evaluate(args: argparse.Namespace) -> int:
     for key, value in report.as_row().items():
         print(f"{key:>12}: {value}")
     return 0
+
+
+def _fault_spec(text: str):
+    from repro.resilience import Fault
+
+    try:
+        return Fault.parse(text)
+    except ReproError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _add_fault_argument(command: argparse.ArgumentParser, *sites: str,
+                        when=lambda args: True) -> None:
+    """``--fault SPEC`` (repeatable) for a command that consults
+    ``sites`` — only when ``when(args)``; ``main`` rejects the rest."""
+    command.add_argument(
+        "--fault", metavar="SPEC", type=_fault_spec, action="append",
+        default=[],
+        help=f"arm one injected fault, SITE:KIND:KEY[,KEY...][xTIMES]"
+             f"[@VALUE] (sites: {', '.join(sites)}; repeatable; see the "
+             f"drills table in docs/OPERATIONS.md)")
+    command.set_defaults(
+        fault_sites=lambda args: sites if when(args) else ())
+
+
+def _fault_plan(args: argparse.Namespace):
+    """The plan ``--fault`` armed, in flag order; ``None`` when none."""
+    from repro.resilience import FaultPlan
+
+    return FaultPlan.of(*args.fault) if args.fault else None
 
 
 def _shm_mode(value: str):
@@ -409,20 +440,8 @@ def _command_trace(args: argparse.Namespace) -> int:
         if args.engine == "model":
             _ranker_from_args(args).rank(dataset, obs=obs)
         else:
-            from repro.resilience import FaultPlan
-
-            fault_plan = None
-            if args.crash:
-                try:
-                    worker, superstep = (int(part) for part
-                                         in args.crash.split(":"))
-                except ValueError:
-                    raise ReproError(
-                        f"--crash must look like WORKER:SUPERSTEP, "
-                        f"got {args.crash!r}") from None
-                fault_plan = FaultPlan().crash_worker(worker, superstep)
-            engine = _parallel_engine_from_args(args, dataset,
-                                                fault_plan=fault_plan)
+            engine = _parallel_engine_from_args(
+                args, dataset, fault_plan=_fault_plan(args))
             engine.run(obs=obs)
         print(render_trace(obs.tracer.export(),
                            title=f"trace: {dataset.name}"))
@@ -528,9 +547,7 @@ def _command_serve_load(args: argparse.Namespace) -> int:
         dataset, num_shards=args.shards, mode=args.mode,
         batches=args.batches, batch_size=args.batch_size,
         readers=args.readers, queries=args.queries, top=args.top,
-        crash_batch=args.crash_batch, poison_batch=args.poison_batch,
-        crash_shard=args.crash_shard, poison_shard=args.poison_shard,
-        fault_epoch=args.fault_epoch, seed=args.seed,
+        fault_plan=_fault_plan(args), seed=args.seed,
         bundle_dir=Path(args.bundle_dir) if args.bundle_dir else None)
     print(report.render())
     # The artifact is written even for degraded/failed runs — a missing
@@ -558,17 +575,10 @@ def _command_ingest_sim(args: argparse.Namespace) -> int:
         dataset, records=args.records, seed=args.seed,
         duplicate_every=args.duplicate_every,
         mangle_every=args.mangle_every, cite_every=args.cite_every,
-        stall_record=args.stall_record, fail_record=args.fail_record,
-        flaky_record=args.flaky_record,
-        poison_record=args.poison_record, crash_batch=args.crash_batch,
-        truncate_journal=args.truncate_journal,
-        min_batch=args.min_batch, max_batch=args.max_batch,
-        max_queue=args.max_queue,
+        fault_plan=_fault_plan(args), min_batch=args.min_batch,
+        max_batch=args.max_batch, max_queue=args.max_queue,
         checkpoint_batches=args.checkpoint_batches,
         partitions=args.partitions,
-        crash_partitions=args.crash_partition,
-        tear_partitions=args.tear_partition,
-        stall_partitions=args.stall_partition,
         segment_records=args.segment_records,
         compaction=None if args.compaction == "off"
         else args.compaction,
@@ -593,16 +603,6 @@ def _command_ingest_sim(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     return 0
-
-
-def _partition_seq(value: str) -> tuple:
-    """Parse a ``PARTITION:SEQ`` CLI operand into an int pair."""
-    try:
-        partition, _, seq = value.partition(":")
-        return (int(partition), int(seq))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected PARTITION:SEQ (two integers), got {value!r}")
 
 
 def _command_ingest_compact(args: argparse.Namespace) -> int:
@@ -806,9 +806,9 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["auto", "on", "off"],
                        help="parallel engine IPC data plane: zero-copy "
                             "shared memory, pickle, or auto-detect")
-    trace.add_argument("--crash", type=str, default=None,
-                       help="inject one worker crash, WORKER:SUPERSTEP "
-                            "(parallel engine only)")
+    _add_fault_argument(
+        trace, "worker",
+        when=lambda args: args.engine == "parallel" and not args.bundle)
     trace.add_argument("--json", type=str, default=None,
                        help="also save the RunReport (spans + metrics) "
                             "to this path")
@@ -875,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-load", help="readers vs a faultable feed on the "
                            "serving gateway: health timeline, QPS, "
                            "merge parity; optional batch and "
-                           "one-shard crash/poison faults")
+                           "shard crash/poison faults")
     serve_load.add_argument("dataset")
     serve_load.add_argument("--shards", type=int, default=2,
                             help="partitions of the article id space "
@@ -895,20 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="queries each reader issues")
     serve_load.add_argument("--top", type=int, default=10,
                             help="k each reader requests")
-    serve_load.add_argument("--crash-batch", type=int, default=None,
-                            help="inject one update-path crash at this "
-                                 "0-based batch index")
-    serve_load.add_argument("--poison-batch", type=int, default=None,
-                            help="poison this 0-based batch's candidate "
-                                 "ranking with NaNs (guardrail veto)")
-    serve_load.add_argument("--crash-shard", type=int, default=None,
-                            help="crash this shard while it refreshes "
-                                 "at --fault-epoch")
-    serve_load.add_argument("--poison-shard", type=int, default=None,
-                            help="NaN-poison this shard's score slice "
-                                 "at --fault-epoch (guardrail veto)")
-    serve_load.add_argument("--fault-epoch", type=int, default=1,
-                            help="board epoch the shard fault fires at")
+    _add_fault_argument(serve_load, "batch", "shard")
     serve_load.add_argument("--seed", type=int, default=0)
     serve_load.add_argument("--bundle-dir", type=str, default=None,
                             help="write incident bundles (SLO breach "
@@ -939,24 +926,8 @@ def build_parser() -> argparse.ArgumentParser:
     ingest_sim.add_argument("--cite-every", type=int, default=0,
                             help="every n-th record is a late "
                                  "citation between existing articles")
-    ingest_sim.add_argument("--stall-record", type=int, default=None,
-                            help="stall the source before this record")
-    ingest_sim.add_argument("--fail-record", type=int, default=None,
-                            help="one transient source error at this "
-                                 "record (retry must absorb it)")
-    ingest_sim.add_argument("--flaky-record", type=int, default=None,
-                            help="parser crashes once on this record "
-                                 "(retry must absorb it)")
-    ingest_sim.add_argument("--poison-record", type=int, default=None,
-                            help="parser crashes on every attempt at "
-                                 "this record (must be quarantined)")
-    ingest_sim.add_argument("--crash-batch", type=int, default=None,
-                            help="hard-kill the worker applying this "
-                                 "batch ordinal, then resume from the "
-                                 "journal")
-    ingest_sim.add_argument("--truncate-journal", action="store_true",
-                            help="tear the journal's active tail "
-                                 "before the resume")
+    _add_fault_argument(ingest_sim, "source", "parse", "ingest",
+                        "partition")
     ingest_sim.add_argument("--min-batch", type=int, default=8)
     ingest_sim.add_argument("--max-batch", type=int, default=32)
     ingest_sim.add_argument("--max-queue", type=int, default=48,
@@ -970,24 +941,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="run K partition workers with "
                                  "crash-isolated journals "
                                  "(default: 1)")
-    ingest_sim.add_argument("--crash-partition", metavar="P:SEQ",
-                            type=_partition_seq, action="append",
-                            default=None,
-                            help="kill partition P's worker after it "
-                                 "journals arrival SEQ (repeatable; "
-                                 "same SEQ twice = simultaneous "
-                                 "deaths)")
-    ingest_sim.add_argument("--tear-partition", metavar="P",
-                            type=int, action="append", default=None,
-                            help="tear partition P's active segment "
-                                 "tail at its next crash "
-                                 "(repeatable)")
-    ingest_sim.add_argument("--stall-partition", metavar="P:SEQ",
-                            type=_partition_seq, action="append",
-                            default=None,
-                            help="stall partition P's worker before "
-                                 "it journals arrival SEQ "
-                                 "(repeatable)")
     ingest_sim.add_argument("--segment-records", type=int,
                             default=1024,
                             help="journal segment size in records "
@@ -1033,6 +986,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point (returns a process exit code)."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    for fault in getattr(args, "fault", ()):
+        if fault.site not in args.fault_sites(args):
+            parser.error(f"--fault {fault}: repro {args.command} never "
+                         f"consults the {fault.site!r} site here")
     try:
         return args.handler(args)
     except ReproError as exc:

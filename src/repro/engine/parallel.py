@@ -63,6 +63,7 @@ across data planes for any worker count; only wall-clock changes with
 
 from __future__ import annotations
 
+import os
 import pickle
 import time
 from contextlib import contextmanager, nullcontext
@@ -96,7 +97,8 @@ from repro.engine.shm import (
 from repro.obs.handle import Observability, maybe_span
 from repro.obs.telemetry import SolverTelemetry
 from repro.obs.trace import Span, TraceContext, Tracer, _new_id
-from repro.resilience import Deadline, FaultPlan, RetryPolicy
+from repro.resilience import (WORKER_CRASH_EXIT_CODE, Deadline, FaultPlan,
+                              InjectedCrash, RetryPolicy)
 
 # Worker-process state, installed by _init_worker.
 _WORKER_BLOCKS: Dict[int, tuple] = {}
@@ -223,7 +225,13 @@ def _solve_blocks_task(task_bytes: bytes
         if tracer is not None else nullcontext()
     with span:
         if _WORKER_PLAN is not None:
-            _WORKER_PLAN.fire_worker_fault(_WORKER_ID, superstep, attempt)
+            try:
+                _WORKER_PLAN.fire("worker", (_WORKER_ID, superstep),
+                                  attempt)
+            except InjectedCrash:
+                # A hard exit, not an exception: the pool must observe
+                # a dead process, exactly like an OOM kill or segfault.
+                os._exit(WORKER_CRASH_EXIT_CODE)
         if previous is None:
             previous = _read_frontier(epoch)
         results = _solve_block_set(_WORKER_BLOCKS, block_ids, previous,

@@ -44,7 +44,7 @@ from repro.data.io import read_dataset_jsonl, save_dataset_jsonl
 from repro.data.schema import ScholarlyDataset
 from repro.engine.incremental import IncrementalEngine
 from repro.graph.csr import CSRGraph
-from repro.resilience import FaultPlan
+from repro.resilience import FaultPlan, InjectedCrash
 
 PathLike = Union[str, Path]
 
@@ -85,6 +85,18 @@ def _manifest(directory: Path) -> dict:
         if path.exists() else {}
 
 
+def _wrote(plan: Optional[FaultPlan], name: str) -> None:
+    """One checkpoint write point: ``write:crash:N`` dies at the Nth
+    the plan has seen (counted across saves)."""
+    if plan is None:
+        return
+    plan.writes += 1
+    try:
+        plan.fire("write", (plan.writes,))
+    except InjectedCrash as exc:
+        raise InjectedCrash(f"{exc} after writing {name}") from None
+
+
 def append_corpus(root: PathLike, sealed: Optional[SealedCorpus],
                   dataset: ScholarlyDataset,
                   batches: Iterable[Sequence[str]] = (),
@@ -116,8 +128,7 @@ def append_corpus(root: PathLike, sealed: Optional[SealedCorpus],
             handle.write(member)
         sealed = SealedCorpus(sealed.path, sealed.size + len(member),
                               digest)
-    if fault_plan is not None:
-        fault_plan.on_file_written(_CORPUS_FILE)
+    _wrote(fault_plan, _CORPUS_FILE)
     return sealed
 
 
@@ -143,11 +154,10 @@ def save_engine(engine: IncrementalEngine, directory: PathLike,
     if staging.exists():
         shutil.rmtree(staging)
     staging.mkdir()
-    plan = fault_plan if fault_plan is not None else FaultPlan()
 
     if corpus is None:
         corpus = append_corpus(staging, None, engine.dataset,
-                               fault_plan=plan)
+                               fault_plan=fault_plan)
     # Uncompressed: the arrays cost a copy, not a deflate, per save.
     np.savez(
         staging / _ARRAYS_FILE,
@@ -159,13 +169,13 @@ def save_engine(engine: IncrementalEngine, directory: PathLike,
         indices=engine.graph.indices,
         graph_weights=engine.graph.weights,
     )
-    plan.on_file_written(_ARRAYS_FILE)
+    _wrote(fault_plan, _ARRAYS_FILE)
     config = {"format_version": _FORMAT_VERSION,
               **{name: getattr(engine, name) for name in _SETTINGS},
               "decay_rate": getattr(engine.decay, "_repro_rate", None)}
     (staging / _CONFIG_FILE).write_text(json.dumps(config, indent=2),
                                         encoding="utf-8")
-    plan.on_file_written(_CONFIG_FILE)
+    _wrote(fault_plan, _CONFIG_FILE)
 
     manifest = {
         "format_version": _FORMAT_VERSION,
@@ -181,15 +191,16 @@ def save_engine(engine: IncrementalEngine, directory: PathLike,
     }
     (staging / _MANIFEST_FILE).write_text(
         json.dumps(manifest, indent=2), encoding="utf-8")
-    plan.on_file_written(_MANIFEST_FILE)
+    _wrote(fault_plan, _MANIFEST_FILE)
 
     # Post-manifest corruption (torn page, bit rot): checksums were
     # computed from the intact content, so load detects the damage.
-    for path in staging.iterdir():
-        keep = plan.truncation_for(path.name)
-        if keep is not None:
-            with open(path, "r+b") as handle:
-                handle.truncate(keep)
+    if fault_plan is not None:
+        for path in staging.iterdir():
+            torn = fault_plan.fire("write", (path.name,))
+            if torn is not None:
+                with open(path, "r+b") as handle:
+                    handle.truncate(int(torn.value))
 
     # Publish: directory renames are atomic within a filesystem. If a
     # previous checkpoint exists it is parked aside first; a crash
@@ -200,7 +211,7 @@ def save_engine(engine: IncrementalEngine, directory: PathLike,
         if parked.exists():
             shutil.rmtree(parked)
         os.rename(directory, parked)
-        plan.on_file_written(parked.name)
+        _wrote(fault_plan, parked.name)
         os.rename(staging, directory)
         shutil.rmtree(parked)
     else:

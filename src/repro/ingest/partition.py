@@ -232,21 +232,18 @@ class PartitionWorker:
     def accept(self, seq: int, payload: Dict[str, object]) -> Envelope:
         """Journal-then-parse one routed record.
 
-        The scripted crash fires *after* the append and flush — the
-        nastiest window: the record is on disk (or in the tail a tear
-        will take), but its envelope never reached fan-in. Recovery
-        decides from the reopened journal whether replay covers it or
-        the router must re-deliver.
+        Scripted ``partition`` stalls and crashes fire *after* the
+        append and flush — for a crash the nastiest window: the record
+        is on disk (or in the tail a tear will take), but its envelope
+        never reached fan-in. Recovery decides from the reopened
+        journal whether replay covers it or the router must re-deliver.
         """
-        if self.fault_plan is not None:
-            self.fault_plan.fire_partition_stall(self.partition, seq,
-                                                 self.incarnation)
         offset = self.journal.append(payload, seq=seq)
         self.journal.flush()
         self.stats.records_journaled += 1
         if self.fault_plan is not None:
-            self.fault_plan.fire_partition_crash(self.partition, seq,
-                                                 self.incarnation)
+            self.fault_plan.fire("partition", (self.partition, seq),
+                                 self.incarnation)
         return Envelope(seq=seq, partition=self.partition,
                         offset=offset, item=self._parse(seq, offset,
                                                         payload))
@@ -281,6 +278,15 @@ class PartitionWorker:
             self.stats.records_replayed += 1
         return envelopes
 
+    def tear(self) -> None:
+        """Chop the active segment's unsynced tail if the plan scripts a
+        ``partition:tear`` for this crash (keyed by incarnation)."""
+        torn = self.fault_plan.fire("partition", (self.partition,),
+                                    self.incarnation) \
+            if self.fault_plan is not None else None
+        if torn is not None:
+            tear_active_segment(self.directory, int(torn.value))
+
     def recover(self) -> None:
         """Reopen the journal after a crash (incarnation + 1).
 
@@ -310,7 +316,7 @@ class PartitionWorker:
         while True:
             try:
                 if self.fault_plan is not None:
-                    self.fault_plan.fire_parse_crash(seq, attempt)
+                    self.fault_plan.fire("parse", (seq,), attempt)
                 return parse_record(payload, seq)
             except ParseError as exc:
                 self._quarantine(exc, seq)
@@ -560,7 +566,7 @@ class PartitionedIngestPipeline:
         while True:
             try:
                 if self.fault_plan is not None:
-                    self.fault_plan.fire_source_fault(position, attempt)
+                    self.fault_plan.fire("source", (position,), attempt)
                 return self.source.get(position)
             except SourceError as exc:
                 self.report.source_retries += 1
@@ -591,8 +597,8 @@ class PartitionedIngestPipeline:
             if bystander == partition or self.fault_plan is None:
                 continue
             try:
-                self.fault_plan.fire_partition_crash(
-                    bystander, seq, worker.incarnation)
+                self.fault_plan.fire("partition", (bystander, seq),
+                                     worker.incarnation)
             except InjectedCrash:
                 self._recover_worker(bystander, seq)
         while True:
@@ -628,11 +634,7 @@ class PartitionedIngestPipeline:
             self.obs.event("ingest.partition.crash",
                            partition=partition, seq=seq,
                            incarnation=worker.incarnation)
-        if self.fault_plan is not None:
-            tear = self.fault_plan.partition_tear_for(
-                partition, worker.incarnation)
-            if tear is not None:
-                tear_active_segment(worker.directory, tear)
+        worker.tear()
         torn_before = worker.stats.torn_records_dropped
         worker.recover()
         self.report.torn_records_dropped += \
@@ -718,8 +720,8 @@ class PartitionedIngestPipeline:
             # mid-batch death — items are out of the queue, not yet in
             # the engine, and only the partition journals can bring
             # them back.
-            self.fault_plan.fire_ingest_crash(
-                self.live.batches_applied, self.incarnation)
+            self.fault_plan.fire("ingest", (self.live.batches_applied,),
+                                 self.incarnation)
         outcome = None
         with maybe_span(self.obs, "ingest.batch",
                         articles=batch.num_articles,

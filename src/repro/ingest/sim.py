@@ -5,12 +5,14 @@
 * **Chaos run** — through the full
   :class:`~repro.ingest.partition.PartitionedIngestPipeline` (K
   partition journals, dedup, backpressure, checkpoints) with every
-  requested fault armed: source stalls and transient errors, parser
-  crashes (retryable and poison), duplicate storms and mangled records
-  baked into the feed, per-partition stalls, scripted partition-worker
-  crashes (several at the same arrival seq = simultaneous deaths) with
-  torn tails, a hard mid-batch coordinator crash with journal-driven
-  resume, and optionally a torn journal tail before that resume.
+  fault of its :class:`~repro.resilience.FaultPlan` armed (the
+  ``source``, ``parse``, ``ingest`` and ``partition`` sites): source
+  stalls and transient errors, parser crashes (retryable and poison),
+  per-partition stalls, scripted partition-worker crashes (several at
+  the same arrival seq = simultaneous deaths) with torn tails, and a
+  hard mid-batch coordinator crash with journal-driven resume, whose
+  partitions consult the same tear faults first. Duplicate storms and
+  mangled records are baked into the feed.
 * **Cold oracle** — :func:`fault_free_reference` collapses the same
   feed, fault-free and with no pipeline code in the way, into one
   :class:`~repro.engine.updates.UpdateBatch` applied in a single step.
@@ -18,11 +20,13 @@
 
 It then *proves* the delivery contract by comparing outcomes:
 
-* ``records_lost`` — clean feed records missing from the chaos run's
-  final corpus (must be 0);
-* ``duplicates_applied`` — articles/citations applied more than once
-  (must be 0; computed from corpus sizes, not pipeline counters, so
-  the pipeline cannot grade its own homework);
+* ``records_lost`` — reference articles and citations missing from
+  the chaos run's final corpus (must be 0);
+* ``duplicates_applied`` — articles/citations the chaos corpus holds
+  beyond the reference (must be 0). Both are multiset differences of
+  article ids and ``(citing, cited)`` pairs between the two corpora,
+  not pipeline counters, so the pipeline cannot grade its own homework
+  and a missing article cannot cancel out an extra one;
 * ``bit_identical`` — the exact full ranking of the chaos corpus
   equals the reference corpus's, score for score, rank for rank.
   Incremental prestige is path-dependent, so the claim is on the exact
@@ -39,6 +43,7 @@ from __future__ import annotations
 import json
 import shutil
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
@@ -54,8 +59,7 @@ from repro.ingest.pipeline import IngestReport
 from repro.ingest.source import SyntheticSource, parse_record
 from repro.obs.metrics import (FRESHNESS_BUCKETS, FRESHNESS_HELP,
                                FRESHNESS_METRIC)
-from repro.resilience.faults import (FaultPlan, InjectedCrash,
-                                     tear_active_segment)
+from repro.resilience.faults import FaultPlan, InjectedCrash
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.obs.handle import Observability
@@ -138,6 +142,20 @@ def datasets_equal(left: ScholarlyDataset,
     return True
 
 
+def delivery_diff(chaos: ScholarlyDataset,
+                  reference: ScholarlyDataset) -> Tuple[int, int]:
+    """``(lost, duplicated)``: the multiset differences of article ids
+    and ``(citing, cited)`` pairs, reference minus chaos and back."""
+    def contents(dataset: ScholarlyDataset) -> Counter:
+        return Counter(dataset.articles.keys()) + Counter(
+            (article.id, cited) for article in dataset.articles.values()
+            for cited in article.references)
+
+    chaos_items, reference_items = contents(chaos), contents(reference)
+    return (sum((reference_items - chaos_items).values()),
+            sum((chaos_items - reference_items).values()))
+
+
 @dataclass
 class IngestSimReport:
     """Outcome of one chaos-vs-reference ingest comparison."""
@@ -146,6 +164,8 @@ class IngestSimReport:
     error: Optional[str] = None
     crashed: bool = False
     resumed: bool = False
+    #: the armed fault specs, in arming order
+    faults: List[str] = field(default_factory=list)
     metrics: Dict[str, object] = field(default_factory=dict)
     pipeline: Optional[IngestReport] = None
     resume_pipeline: Optional[IngestReport] = None
@@ -180,7 +200,7 @@ class IngestSimReport:
             "status": self.status, "error": self.error,
             "crashed": self.crashed, "resumed": self.resumed,
             "contract_held": self.contract_held,
-            "metrics": self.metrics,
+            "faults": self.faults, "metrics": self.metrics,
         }, indent=indent)
 
     def to_report(self, name: str = "ingest-smoke"):
@@ -201,22 +221,11 @@ def run_ingest_sim(dataset: Optional[ScholarlyDataset] = None, *,
                    records: int = 80, seed: int = 0,
                    duplicate_every: int = 0, mangle_every: int = 0,
                    cite_every: int = 0,
-                   stall_record: Optional[int] = None,
-                   stall_seconds: float = 0.01,
-                   fail_record: Optional[int] = None,
-                   flaky_record: Optional[int] = None,
-                   poison_record: Optional[int] = None,
-                   crash_batch: Optional[int] = None,
-                   truncate_journal: bool = False,
+                   fault_plan: Optional[FaultPlan] = None,
                    min_batch: int = 8, max_batch: int = 32,
                    max_queue: int = 48, checkpoint_batches: int = 1,
                    parse_attempts: int = 2,
                    partitions: int = 1,
-                   crash_partitions: Optional[
-                       List[Tuple[int, int]]] = None,
-                   tear_partitions: Optional[List[int]] = None,
-                   stall_partitions: Optional[
-                       List[Tuple[int, int]]] = None,
                    segment_records: int = 1024,
                    compaction: Optional[str] = None,
                    workdir: Optional[Path] = None,
@@ -225,26 +234,22 @@ def run_ingest_sim(dataset: Optional[ScholarlyDataset] = None, *,
                    ) -> IngestSimReport:
     """Run the chaos feed and grade it against the fault-free run.
 
-    ``fail_record`` arms one transient source error (absorbed by
-    retry); ``flaky_record`` one retryable parser crash;
-    ``poison_record`` a parser crash on *every* attempt (the record
-    must end up quarantined); ``crash_batch`` a hard coordinator death
-    applying that batch ordinal, followed by a journal resume —
-    with ``truncate_journal`` partition 0's active tail additionally
-    loses its last line first (a torn write the recovery scan must
-    absorb).
+    ``fault_plan`` scripts the chaos: ``source:error:R`` is one
+    transient source error (absorbed by retry); ``parse:crash:R`` a
+    retryable parser crash, and with ``xTIMES`` at or beyond
+    ``parse_attempts`` a poison record the pipeline must quarantine
+    (the reference skips it too); ``ingest:crash:B`` a hard
+    coordinator death applying batch ordinal ``B``, followed by a
+    journal resume; ``partition:crash:P,SEQ`` kills partition ``P``'s
+    worker right after it journals arrival ``SEQ`` (the same ``SEQ``
+    for two partitions = simultaneous deaths); ``partition:tear:P``
+    chops partition ``P``'s active tail at its next crash — a worker
+    recovery or the coordinator crash's resume.
 
     ``partitions`` is the pipeline's K (1 = a single worker).
-    ``crash_partitions`` is a list of ``(partition, seq)``
-    pairs, each killing that partition's worker right after it
-    journals the record with global arrival seq ``seq`` (two pairs at
-    the same seq = simultaneous deaths); ``tear_partitions`` lists
-    partitions whose active segment loses its tail at their next
-    crash; ``stall_partitions`` is a list of ``(partition, seq)``
-    pairs arming one ``stall_seconds`` stall each. ``compaction``
-    (``"archive"`` or ``"delete"``) arms journal segment reclaim after
-    every commit — pair it with a small ``segment_records`` so
-    segments actually seal during the run.
+    ``compaction`` (``"archive"`` or ``"delete"``) arms journal segment
+    reclaim after every commit — pair it with a small
+    ``segment_records`` so segments actually seal during the run.
 
     When no ``obs`` handle is passed the sim builds its own with a
     :class:`~repro.obs.recorder.FlightRecorder` attached, so a worker
@@ -271,24 +276,6 @@ def run_ingest_sim(dataset: Optional[ScholarlyDataset] = None, *,
         duplicate_every=duplicate_every, mangle_every=mangle_every,
         cite_every=cite_every)
 
-    plan = FaultPlan(seed=seed)
-    if stall_record is not None:
-        plan.stall_source(stall_record, stall_seconds)
-    if fail_record is not None:
-        plan.fail_source(fail_record)
-    if flaky_record is not None:
-        plan.crash_parser(flaky_record, times=max(1, parse_attempts - 1))
-    if poison_record is not None:
-        plan.crash_parser(poison_record, times=parse_attempts + 8)
-    if crash_batch is not None:
-        plan.crash_ingest(crash_batch)
-    for partition, seq in (crash_partitions or []):
-        plan.crash_partition_worker(partition, seq)
-    for partition in (tear_partitions or []):
-        plan.tear_partition_tail(partition)
-    for partition, seq in (stall_partitions or []):
-        plan.stall_partition_worker(partition, seq, stall_seconds)
-
     if obs is None:
         from repro.obs import FlightRecorder, Observability
 
@@ -304,10 +291,12 @@ def run_ingest_sim(dataset: Optional[ScholarlyDataset] = None, *,
                                 max_batch=max_batch),
             parse_attempts=parse_attempts,
             checkpoint_batches=checkpoint_batches,
-            segment_records=segment_records, fault_plan=plan,
+            segment_records=segment_records, fault_plan=fault_plan,
             obs=obs, compaction=compaction)
 
-    sim = IngestSimReport()
+    sim = IngestSimReport(faults=[str(fault) for fault
+                                  in fault_plan.faults]
+                          if fault_plan is not None else [])
     try:
         pipeline = PartitionedIngestPipeline(
             LiveRanker(dataset, checkpoint_dir=checkpoint_dir),
@@ -325,8 +314,7 @@ def run_ingest_sim(dataset: Optional[ScholarlyDataset] = None, *,
             sim.pipeline = pipeline.report
             for worker in pipeline.workers:
                 worker.journal.close()
-            if truncate_journal:
-                tear_active_segment(pipeline.workers[0].directory)
+                worker.tear()
             incarnation = pipeline.incarnation + 1
             try:
                 resumed = PartitionedIngestPipeline.resume(
@@ -344,22 +332,14 @@ def run_ingest_sim(dataset: Optional[ScholarlyDataset] = None, *,
             sim.resumed = True
             final = resumed
 
-        poisoned = frozenset([poison_record]) \
-            if poison_record is not None else frozenset()
+        poisoned = frozenset(
+            fault.key[0] for fault in fault_plan.faults
+            if fault.site == "parse" and fault.times >= parse_attempts) \
+            if fault_plan is not None else frozenset()
         reference_dataset = apply_update(
             dataset, fault_free_reference(source, dataset, poisoned))
         chaos_dataset = final.live.dataset
-
-        expected_new = len(reference_dataset.articles) \
-            - len(dataset.articles)
-        applied_new = len(chaos_dataset.articles) \
-            - len(dataset.articles)
-        expected_edges = reference_dataset.num_citations
-        applied_edges = chaos_dataset.num_citations
-        lost = max(0, expected_new - applied_new) \
-            + max(0, expected_edges - applied_edges)
-        duplicated = max(0, applied_new - expected_new) \
-            + max(0, applied_edges - expected_edges)
+        lost, duplicated = delivery_diff(chaos_dataset, reference_dataset)
 
         config = RankerConfig()
         chaos_rank = ArticleRanker(config).rank(chaos_dataset)

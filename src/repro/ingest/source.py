@@ -18,8 +18,8 @@ two ways a scholarly graph actually changes
 :func:`parse_record` turns a payload into a typed :class:`ParsedItem`
 or raises :class:`repro.errors.ParseError` — data poison, never
 retried, routed to quarantine. (Transient parser *crashes* are a
-different failure and are injected via
-:meth:`repro.resilience.FaultPlan.crash_parser`.)
+different failure and are injected by a ``parse:crash:RECORD``
+:class:`repro.resilience.Fault`.)
 """
 
 from __future__ import annotations

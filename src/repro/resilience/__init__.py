@@ -9,10 +9,13 @@ holds the pieces that let the engines survive that:
   retries, exponential backoff, seeded jitter) and :class:`Deadline`
   (per-task timeout), consumed by
   :class:`repro.engine.parallel.ParallelBlockEngine`.
-* :mod:`repro.resilience.faults` — :class:`FaultPlan`, a deterministic
-  picklable script of worker crashes, stalls, and checkpoint-file
-  corruption, used by the fault-injection test suite to *prove* the
-  recovery paths (bit-identical fixed points under injected failures).
+* :mod:`repro.resilience.faults` — :class:`Fault` and
+  :class:`FaultPlan`: one deterministic, picklable script of injected
+  failures (``SITE:KIND:KEY[,KEY…][xTIMES][@VALUE]`` — worker crashes
+  and stalls, checkpoint crashes and torn files, poisoned batches and
+  shards, ingest crashes), used by the fault-injection suite to *prove*
+  the recovery paths (bit-identical fixed points under injected
+  failures).
 
 Crash-safe checkpointing itself lives with the engines
 (:mod:`repro.engine.state`, :class:`repro.engine.live.LiveRanker`);
@@ -21,26 +24,18 @@ see ``docs/OPERATIONS.md`` for the operational picture.
 
 from repro.resilience.faults import (
     WORKER_CRASH_EXIT_CODE,
-    BatchFault,
+    Fault,
     FaultPlan,
-    IngestFault,
     InjectedCrash,
-    PartitionFault,
-    ShardFault,
-    WorkerFault,
 )
 from repro.resilience.policy import Deadline, RetryDelays, RetryPolicy
 
 __all__ = [
-    "BatchFault",
     "Deadline",
+    "Fault",
     "FaultPlan",
-    "IngestFault",
     "InjectedCrash",
-    "PartitionFault",
     "RetryDelays",
     "RetryPolicy",
-    "ShardFault",
     "WORKER_CRASH_EXIT_CODE",
-    "WorkerFault",
 ]

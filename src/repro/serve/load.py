@@ -6,7 +6,7 @@ is the single-process tier) while the feed ingests arrival batches —
 every publish rewrites the score board and refreshes every shard.
 :class:`repro.resilience.FaultPlan` can crash or NaN-poison chosen
 *batches* (the update path: guardrail veto, quarantine, breaker) and
-crash or poison one *shard* (the read tier: per-shard degradation).
+crash or poison chosen *shards* (the read tier: per-shard degradation).
 After the feed the pipeline is pumped until the breaker's half-open
 probe drains the backlog, one health-timeline tick per step. The report
 carries that timeline, sustained QPS and p50/p99 latency, the
@@ -103,6 +103,8 @@ class LoadReport:
     merge_mismatches: int = 0
     shards_missing: int = 0
     degraded_during: List[int] = field(default_factory=list)
+    #: the armed fault specs, in arming order
+    faults: List[str] = field(default_factory=list)
     #: one tick per fed batch (``phase="ingest"``) and per post-feed
     #: pump (``phase="recover"``): the update path's health over time.
     timeline: List[Dict[str, object]] = field(default_factory=list)
@@ -241,24 +243,21 @@ def run_load(dataset: "ScholarlyDataset", *,
              num_shards: int = 2, mode: str = "inline",
              batches: int = 4, batch_size: int = 16,
              readers: int = 4, queries: int = 50, top: int = 10,
-             crash_batch: Optional[int] = None,
-             poison_batch: Optional[int] = None,
-             crash_shard: Optional[int] = None,
-             poison_shard: Optional[int] = None,
-             fault_epoch: int = 1,
+             fault_plan: Optional[FaultPlan] = None,
              auto_respawn: bool = False,
              seed: int = 0,
              obs: Optional["Observability"] = None,
              bundle_dir: Optional[Path] = None) -> LoadReport:
     """Drive concurrent readers against a faultable feed over K shards.
 
-    ``crash_batch`` / ``poison_batch`` arm one injected update-path
-    crash / one NaN poisoning at that 0-based batch index; after the
-    feed the pipeline is pumped until it drains or
-    :data:`MAX_RECOVERY_TICKS` elapse — with batch faults armed this is
-    where the breaker's open → half-open → closed recovery shows up in
-    the timeline. ``crash_shard`` / ``poison_shard`` arm one injected
-    shard fault at board epoch ``fault_epoch`` — with ``auto_respawn``
+    ``fault_plan`` scripts the chaos at two sites: ``batch:crash:B`` /
+    ``batch:nan:B`` inject an update-path crash / a NaN poisoning at
+    0-based batch index ``B``; after the feed the pipeline is pumped
+    until it drains or :data:`MAX_RECOVERY_TICKS` elapse — with batch
+    faults armed this is where the breaker's open → half-open → closed
+    recovery shows up in the timeline. ``shard:crash:S,E`` /
+    ``shard:poison:S,E`` hit shard ``S`` refreshing to board epoch
+    ``E`` — with ``auto_respawn``
     off (the default here) the degradation stays *visible* in
     ``health()`` until the post-run :meth:`ShardedGateway.repair`,
     which is exactly what the acceptance check wants to see.
@@ -279,18 +278,10 @@ def run_load(dataset: "ScholarlyDataset", *,
         obs = Observability("serve-load", recorder=recorder)
     monitor = SLOMonitor(obs.metrics, recorder=recorder)
 
-    fault_plan = FaultPlan(seed=seed)
-    if crash_batch is not None:
-        fault_plan.crash_batch(crash_batch)
-    if poison_batch is not None:
-        fault_plan.poison_batch(poison_batch)
-    if crash_shard is not None:
-        fault_plan.crash_shard(crash_shard, fault_epoch)
-    if poison_shard is not None:
-        fault_plan.poison_shard(poison_shard, fault_epoch)
-
     report = LoadReport(num_shards=num_shards, mode=mode,
-                        readers=readers, batches=batches)
+                        readers=readers, batches=batches,
+                        faults=[str(fault) for fault in fault_plan.faults]
+                        if fault_plan is not None else [])
     live = LiveRanker(dataset, obs=obs)
     breaker = CircuitBreaker(failure_threshold=FAILURE_THRESHOLD,
                              cooldown=SIM_COOLDOWN, obs=obs)

@@ -221,14 +221,11 @@ class RankingService:
             if self._obs is not None else nullcontext()
         with span:
             try:
-                if self._fault_plan is not None:
-                    self._fault_plan.fire_batch_crash(entry.index,
-                                                      attempt)
-                result, _ = live.apply(entry.batch)
-                fault = self._fault_plan.batch_fault(
-                    entry.index, attempt) \
+                fault = self._fault_plan.fire(
+                    "batch", (entry.index,), attempt) \
                     if self._fault_plan is not None else None
-                if fault is not None and fault.kind == "nan":
+                result, _ = live.apply(entry.batch)
+                if fault is not None:  # "nan": poison the candidate
                     poisoned = np.asarray(result.scores,
                                           dtype=np.float64).copy()
                     poisoned[:: max(1, len(poisoned) // 7)] = np.nan

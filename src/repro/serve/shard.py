@@ -179,12 +179,12 @@ class ShardServer:
         snapshot keeps serving) | ``"deferred"`` (breaker open).
         """
         self._target_epoch = max(self._target_epoch, epoch)
-        if self._fault_plan is not None:
-            # InjectedCrash escapes on purpose: in process mode the
-            # worker main turns it into a hard exit, inline the handle
-            # plays the process boundary.
-            self._fault_plan.fire_shard_crash(self.spec.shard, epoch,
-                                              attempt)
+        # A scripted crash escapes on purpose: in process mode the
+        # worker main turns it into a hard exit, inline the handle plays
+        # the process boundary. A "poison" fault comes back to act on.
+        fault = self._fault_plan.fire(
+            "shard", (self.spec.shard, epoch), attempt) \
+            if self._fault_plan is not None else None
         if not self._breaker.allow():
             return {"shard": self.spec.shard, "status": "deferred",
                     "epoch": self._snapshot_epoch(),
@@ -194,10 +194,7 @@ class ShardServer:
             mask = ids % self.spec.num_shards == self.spec.shard
             slice_ids = ids[mask]
             slice_scores = scores[mask]
-            fault = self._fault_plan.shard_fault(
-                self.spec.shard, epoch, attempt) \
-                if self._fault_plan is not None else None
-            if fault is not None and fault.kind == "poison":
+            if fault is not None:
                 slice_scores = slice_scores.copy()
                 slice_scores[:: max(1, slice_scores.size // 5)] = np.nan
             violations = validate_shard_slice(

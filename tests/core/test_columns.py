@@ -293,7 +293,7 @@ class TestMaintainedColumns:
         base, batches = yearly_updates(small_dataset, from_year=2012)
         live = LiveRanker(base)
         service = RankingService(live,
-                                 fault_plan=FaultPlan().poison_batch(0))
+                                 fault_plan=FaultPlan.of("batch:nan:0"))
         before = live._engine.columns
         assert service.ingest(batches[0]).status == "quarantined"
         assert live._engine.columns is before

@@ -222,8 +222,7 @@ class TestCrashAtEveryWrite:
         clean, _ = run_live(base, batches, tmp_path / "clean")
 
         root = tmp_path / "crashed"
-        plan = FaultPlan().crash_after_files(
-            2 * len(WRITES) + write + 1)
+        plan = FaultPlan.of(f"write:crash:{2 * len(WRITES) + write + 1}")
         with pytest.raises(InjectedCrash, match=WRITES[write]):
             run_live(base, batches, root, fault_plan=plan)
         newest = checkpoint_rotations(root)[0]

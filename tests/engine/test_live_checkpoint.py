@@ -157,7 +157,7 @@ class TestPruneBeforeSave:
 
         live = LiveRanker(base, checkpoint_dir=tmp_path,
                           checkpoint_keep=2,
-                          fault_plan=FaultPlan().crash_after_files(1))
+                          fault_plan=FaultPlan.of("write:crash:1"))
         for batch in batches[:2]:
             live.apply(batch)
         with pytest.raises(InjectedCrash):

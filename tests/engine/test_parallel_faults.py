@@ -9,6 +9,8 @@ so the work counters (``supersteps``, ``local_iterations``,
 ``blocks_skipped``) equal the fault-free run's too.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,23 @@ def fault_free(graph_and_partition):
     return result
 
 
+def arm_random_worker_crash(plan, seed, num_workers, max_superstep):
+    """Arm one seeded-random worker crash; returns its (worker, step)."""
+    rng = random.Random(seed)
+    worker = rng.randrange(num_workers)
+    superstep = rng.randrange(1, max_superstep + 1)
+    plan.arm(f"worker:crash:{worker},{superstep}")
+    return worker, superstep
+
+
+def test_random_worker_crash_is_seeded():
+    picked = arm_random_worker_crash(FaultPlan(), 5, 4, 10)
+    assert picked == arm_random_worker_crash(FaultPlan(), 5, 4, 10)
+    worker, superstep = picked
+    assert 0 <= worker < 4
+    assert 1 <= superstep <= 10
+
+
 def assert_same_run(result, fault_free):
     assert result.converged
     assert np.array_equal(result.scores, fault_free.scores)
@@ -52,7 +71,7 @@ class TestCrashRecovery:
     def test_crashed_worker_is_respawned_bit_identical(
             self, graph_and_partition, fault_free):
         graph, partition = graph_and_partition
-        plan = FaultPlan().crash_worker(1, superstep=2)
+        plan = FaultPlan.of("worker:crash:1,2")
         telemetry = SolverTelemetry("parallel")
         engine = ParallelBlockEngine(graph, partition, num_workers=2,
                                      retry_policy=FAST_RETRIES,
@@ -68,9 +87,9 @@ class TestCrashRecovery:
         # The ISSUE acceptance scenario: a seeded plan kills one worker
         # somewhere mid-run; scores must not change by one ULP.
         graph, partition = graph_and_partition
-        plan = FaultPlan(seed=42)
-        worker, superstep = plan.crash_random_worker(
-            num_workers=2, max_superstep=3)
+        plan = FaultPlan()
+        worker, superstep = arm_random_worker_crash(
+            plan, seed=42, num_workers=2, max_superstep=3)
         telemetry = SolverTelemetry("parallel")
         engine = ParallelBlockEngine(graph, partition, num_workers=2,
                                      retry_policy=FAST_RETRIES,
@@ -82,7 +101,7 @@ class TestCrashRecovery:
 
     def test_recovery_events_name_the_blocks(self, graph_and_partition):
         graph, partition = graph_and_partition
-        plan = FaultPlan().crash_worker(0, superstep=1)
+        plan = FaultPlan.of("worker:crash:0,1")
         telemetry = SolverTelemetry("parallel")
         engine = ParallelBlockEngine(graph, partition, num_workers=2,
                                      retry_policy=FAST_RETRIES,
@@ -113,7 +132,7 @@ class TestCrashRecovery:
             retry_policy=RetryPolicy(max_retries=max_retries,
                                      base_delay=0.0, max_delay=0.0,
                                      jitter=0.0),
-            fault_plan=FaultPlan().crash_worker(1, superstep=2)).run(
+            fault_plan=FaultPlan.of("worker:crash:1,2")).run(
             tol=1e-13, local_tol=1e-14, telemetry=telemetry)
         assert_same_run(result, clean)
         assert [r.kind for r in telemetry.recoveries] == kinds
@@ -126,7 +145,7 @@ class TestDegradation:
         graph, partition = graph_and_partition
         # Worker 0 dies on every attempt of superstep 1: retries burn
         # out and its blocks move inline into the coordinator.
-        plan = FaultPlan().crash_worker(0, superstep=1, times=99)
+        plan = FaultPlan.of("worker:crash:0,1x99")
         policy = RetryPolicy(max_retries=1, base_delay=0.0,
                              max_delay=0.0, jitter=0.0)
         telemetry = SolverTelemetry("parallel")
@@ -142,7 +161,7 @@ class TestDegradation:
     def test_zero_retries_degrades_on_first_crash(
             self, graph_and_partition, fault_free):
         graph, partition = graph_and_partition
-        plan = FaultPlan().crash_worker(1, superstep=1, times=99)
+        plan = FaultPlan.of("worker:crash:1,1x99")
         policy = RetryPolicy(max_retries=0, base_delay=0.0,
                              max_delay=0.0, jitter=0.0)
         telemetry = SolverTelemetry("parallel")
@@ -160,7 +179,7 @@ class TestDeadlines:
         graph, partition = graph_and_partition
         # Worker 0 stalls well past the deadline on its first dispatch;
         # the respawned process (attempt 1) runs clean.
-        plan = FaultPlan().delay_task(0, superstep=1, seconds=30.0)
+        plan = FaultPlan.of("worker:delay:0,1@30")
         telemetry = SolverTelemetry("parallel")
         engine = ParallelBlockEngine(graph, partition, num_workers=2,
                                      retry_policy=FAST_RETRIES,

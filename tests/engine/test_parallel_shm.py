@@ -87,7 +87,7 @@ class TestParity:
         graph, partition = graph_and_partition
         baseline = ParallelBlockEngine(graph, partition, num_workers=2,
                                        shared_memory=True).run(tol=1e-10)
-        plan = FaultPlan().crash_worker(0, superstep=2)
+        plan = FaultPlan.of("worker:crash:0,2")
         telemetry = SolverTelemetry("parallel")
         faulted = ParallelBlockEngine(
             graph, partition, num_workers=2, shared_memory=True,
@@ -106,7 +106,7 @@ class TestParity:
         graph, partition = graph_and_partition
         baseline = ParallelBlockEngine(graph, partition, num_workers=2,
                                        shared_memory=True).run(tol=1e-10)
-        plan = FaultPlan().delay_task(0, superstep=2, seconds=1.5)
+        plan = FaultPlan.of("worker:delay:0,2@1.5")
         telemetry = SolverTelemetry("parallel")
         faulted = ParallelBlockEngine(
             graph, partition, num_workers=2, shared_memory=True,

@@ -76,7 +76,7 @@ class TestTruncation:
     def test_injected_truncation_fault(self, engine, tmp_path):
         # The fault plan tears the file *after* the manifest seals the
         # intact content — exactly the torn-page case checksums catch.
-        plan = FaultPlan().truncate_file("state.npz", keep_bytes=64)
+        plan = FaultPlan.of("write:truncate:state.npz@64")
         directory = tmp_path / "ckpt"
         save_engine(engine, directory, fault_plan=plan)
         assert (directory / "state.npz").stat().st_size == 64
@@ -119,7 +119,7 @@ class TestCrashMidSave:
         reference = load_engine(directory).scores
         # Second save dies partway through its staging writes; the
         # published checkpoint must still be the complete first one.
-        plan = FaultPlan().crash_after_files(files_before_crash)
+        plan = FaultPlan.of(f"write:crash:{files_before_crash}")
         with pytest.raises(InjectedCrash):
             save_engine(engine, directory, fault_plan=plan)
         assert verify_checkpoint(directory) == []
@@ -129,7 +129,7 @@ class TestCrashMidSave:
     def test_crash_before_any_publish_leaves_no_checkpoint(
             self, engine, tmp_path):
         directory = tmp_path / "ckpt"
-        plan = FaultPlan().crash_after_files(1)
+        plan = FaultPlan.of("write:crash:1")
         with pytest.raises(InjectedCrash):
             save_engine(engine, directory, fault_plan=plan)
         assert not directory.exists()
@@ -147,7 +147,7 @@ class TestCrashMidSave:
         newer = IncrementalEngine.__new__(IncrementalEngine)
         newer.__dict__.update(engine.__dict__)
         newer.scores = engine.scores[::-1].copy()
-        plan = FaultPlan().crash_after_files(5)  # 4 files, then the park
+        plan = FaultPlan.of("write:crash:5")  # 4 files, then the park
         with pytest.raises(InjectedCrash, match=r"\.ckpt\.old"):
             save_engine(newer, directory, fault_plan=plan)
         assert not directory.exists()

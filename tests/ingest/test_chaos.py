@@ -6,7 +6,10 @@ import pytest
 
 from repro.cli import main
 from repro.data.generator import GeneratorConfig, generate_dataset
+from repro.data.schema import Article, ScholarlyDataset
 from repro.ingest import run_ingest_sim
+from repro.ingest.sim import delivery_diff
+from repro.resilience import FaultPlan
 
 pytestmark = pytest.mark.ingest
 
@@ -32,9 +35,11 @@ class TestContract:
         sim = run_ingest_sim(
             chaos_dataset, records=80, seed=2,
             duplicate_every=7, mangle_every=11, cite_every=5,
-            stall_record=10, stall_seconds=0.001, fail_record=20,
-            flaky_record=30, poison_record=40, crash_batch=2,
-            truncate_journal=True, workdir=tmp_path / "sim")
+            fault_plan=FaultPlan.of(
+                "source:stall:10@0.001", "source:error:20",
+                "parse:crash:30", "parse:crash:40x10", "ingest:crash:2",
+                "partition:tear:0"),
+            workdir=tmp_path / "sim")
         assert sim.status == "ok"
         assert sim.crashed and sim.resumed
         assert sim.contract_held, sim.render()
@@ -44,13 +49,29 @@ class TestContract:
         assert sim.metrics["parse_crashes"] > 0
 
 
+class TestGrading:
+    def test_loss_and_duplication_do_not_cancel_out(self):
+        # The chaos corpus misses article 3 but holds an extra article
+        # 4: same article and citation counts, one loss, one duplicate.
+        reference = ScholarlyDataset(name="reference")
+        chaos = ScholarlyDataset(name="chaos")
+        for dataset, extra in ((reference, 3), (chaos, 4)):
+            dataset.add_article(Article(id=1, title="a", year=2000))
+            dataset.add_article(Article(id=2, title="b", year=2001,
+                                        references=(1,)))
+            dataset.add_article(Article(id=extra, title="c", year=2001))
+        assert delivery_diff(chaos, reference) == (1, 1)
+        assert delivery_diff(reference, reference) == (0, 0)
+
+
 class TestCrashResume:
     def test_mid_batch_kill_is_exactly_once(self, chaos_dataset):
         """Satellite: kill the worker mid-batch, resume from the
         journal, assert exactly-once application and a bit-identical
         final ranking."""
         sim = run_ingest_sim(chaos_dataset, records=60, seed=3,
-                             duplicate_every=6, crash_batch=1)
+                             duplicate_every=6,
+                             fault_plan=FaultPlan.of("ingest:crash:1"))
         assert sim.crashed and sim.resumed
         # The resumed run replayed the journal tail...
         assert sim.resume_pipeline.records_replayed > 0
@@ -66,7 +87,7 @@ class TestCrashResume:
         # so resume re-bootstraps from the base corpus and replays the
         # journal from offset 0.
         sim = run_ingest_sim(chaos_dataset, records=40, seed=4,
-                             crash_batch=0)
+                             fault_plan=FaultPlan.of("ingest:crash:0"))
         assert sim.crashed and sim.resumed
         assert sim.contract_held, sim.render()
 
@@ -78,7 +99,8 @@ class TestCrashResume:
         # replays the whole journal from offset 0. Every record still
         # lands exactly once — via replay or via fresh pull.
         sim = run_ingest_sim(chaos_dataset, records=60, seed=5,
-                             crash_batch=2, checkpoint_batches=3)
+                             fault_plan=FaultPlan.of("ingest:crash:2"),
+                             checkpoint_batches=3)
         assert sim.crashed and sim.resumed
         assert sim.resume_pipeline.records_replayed > 0
         assert (sim.resume_pipeline.records_replayed
@@ -87,7 +109,8 @@ class TestCrashResume:
 
     def test_torn_journal_tail_is_absorbed(self, chaos_dataset):
         sim = run_ingest_sim(chaos_dataset, records=50, seed=6,
-                             crash_batch=1, truncate_journal=True)
+                             fault_plan=FaultPlan.of("ingest:crash:1",
+                                                     "partition:tear:0"))
         assert sim.crashed and sim.resumed
         assert sim.metrics["torn_records_dropped"] >= 1
         assert sim.contract_held, sim.render()
@@ -109,7 +132,8 @@ class TestObservability:
 
         obs = Observability("ingest-chaos")
         sim = run_ingest_sim(chaos_dataset, records=40, seed=8,
-                             duplicate_every=9, crash_batch=1,
+                             duplicate_every=9,
+                             fault_plan=FaultPlan.of("ingest:crash:1"),
                              obs=obs)
         assert sim.contract_held, sim.render()
         exported = obs.metrics.to_prometheus()
@@ -136,12 +160,11 @@ class TestPartitionedChaos:
         sim = run_ingest_sim(
             chaos_dataset, records=100, seed=12,
             duplicate_every=6, mangle_every=13, cite_every=5,
-            poison_record=44,
             partitions=4,
-            crash_partitions=[(0, 30), (2, 30)],
-            tear_partitions=[0, 2],
-            stall_partitions=[(1, 15)],
-            stall_seconds=0.001,
+            fault_plan=FaultPlan.of(
+                "parse:crash:44x10", "partition:crash:0,30",
+                "partition:crash:2,30", "partition:tear:0",
+                "partition:tear:2", "partition:stall:1,15@0.001"),
             segment_records=8, compaction="archive",
             workdir=tmp_path / "sim")
         assert sim.status == "ok"
@@ -161,8 +184,8 @@ class TestPartitionedChaos:
         # same corpus the cold oracle produces.
         sim = run_ingest_sim(
             chaos_dataset, records=80, seed=13,
-            duplicate_every=7, partitions=3, crash_batch=1,
-            truncate_journal=True,
+            duplicate_every=7, partitions=3,
+            fault_plan=FaultPlan.of("ingest:crash:1", "partition:tear:0"),
             workdir=tmp_path / "sim")
         assert sim.crashed and sim.resumed
         assert sim.contract_held, sim.render()
@@ -182,7 +205,7 @@ class TestCli:
         json_path = tmp_path / "sim.json"
         report_path = tmp_path / "report.json"
         assert main(["ingest-sim", "--records", "40", "--seed", "1",
-                     "--duplicate-every", "8", "--crash-batch", "1",
+                     "--duplicate-every", "8", "--fault", "ingest:crash:1",
                      "--json", str(json_path),
                      "--report", str(report_path)]) == 0
         out = capsys.readouterr().out
@@ -203,9 +226,9 @@ class TestCli:
         json_path = tmp_path / "sim.json"
         assert main(["ingest-sim", "--records", "60", "--seed", "2",
                      "--partitions", "4",
-                     "--crash-partition", "0:20",
-                     "--tear-partition", "0",
-                     "--stall-partition", "1:10",
+                     "--fault", "partition:crash:0,20",
+                     "--fault", "partition:tear:0",
+                     "--fault", "partition:stall:1,10@0.01",
                      "--segment-records", "8",
                      "--compaction", "archive",
                      "--json", str(json_path)]) == 0
@@ -217,10 +240,34 @@ class TestCli:
         assert payload["metrics"]["worker_crashes"] == 1
         assert payload["metrics"]["segments_archived"] > 0
 
+    def test_json_lists_the_faults_in_arming_order(self, tmp_path,
+                                                   capsys):
+        json_path = tmp_path / "sim.json"
+        specs = ["source:error:5", "parse:crash:9x2", "ingest:crash:1",
+                 "partition:tear:0"]
+        argv = ["ingest-sim", "--records", "30", "--seed", "3",
+                "--json", str(json_path)]
+        for spec in specs:
+            argv += ["--fault", spec]
+        assert main(argv) == 0
+        capsys.readouterr()
+        payload = json.loads(json_path.read_text(encoding="utf-8"))
+        assert payload["faults"] == specs
+        assert payload["crashed"] is True
+
+    @pytest.mark.parametrize("spec", ["batch:crash:1", "shard:crash:0,1",
+                                      "write:crash:3"])
+    def test_fault_at_an_unconsulted_site_is_a_usage_error(self, spec,
+                                                           capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["ingest-sim", "--records", "20", "--fault", spec])
+        assert info.value.code == 2
+        assert spec in capsys.readouterr().err
+
     def test_ingest_sim_rejects_malformed_partition_fault(self):
         with pytest.raises(SystemExit):
             main(["ingest-sim", "--partitions", "2",
-                  "--crash-partition", "zero:ten"])
+                  "--fault", "partition:crash:zero,ten"])
 
     def test_ingest_compact_command(self, tmp_path, capsys):
         from repro.ingest import IngestJournal

@@ -168,9 +168,7 @@ class TestBitIdentical:
 class TestCrashIsolation:
     def test_other_partitions_untouched_by_a_crash(self, base_dataset,
                                                    tmp_path):
-        plan = FaultPlan(seed=0)
-        plan.crash_partition_worker(0, 20)
-        plan.tear_partition_tail(0)
+        plan = FaultPlan.of("partition:crash:0,20", "partition:tear:0")
         source = chaos_source(base_dataset)
         partitioned, report = run_partitioned(
             base_dataset, source, tmp_path, 3, fault_plan=plan)
@@ -194,11 +192,8 @@ class TestCrashIsolation:
     def test_simultaneous_crashes_with_tears_recover(self,
                                                      base_dataset,
                                                      tmp_path):
-        plan = FaultPlan(seed=0)
-        plan.crash_partition_worker(0, 30)
-        plan.crash_partition_worker(1, 30)
-        plan.tear_partition_tail(0)
-        plan.tear_partition_tail(1)
+        plan = FaultPlan.of("partition:crash:0,30", "partition:crash:1,30",
+                            "partition:tear:0", "partition:tear:1")
         source = chaos_source(base_dataset)
         partitioned, report = run_partitioned(
             base_dataset, source, tmp_path / "multi", 4,
@@ -210,8 +205,7 @@ class TestCrashIsolation:
     def test_stalled_partition_does_not_block_others(self,
                                                      base_dataset,
                                                      tmp_path):
-        plan = FaultPlan(seed=0)
-        plan.stall_partition_worker(1, 10, 0.001)
+        plan = FaultPlan.of("partition:stall:1,10@0.001")
         source = chaos_source(base_dataset, records=40)
         partitioned, report = run_partitioned(
             base_dataset, source, tmp_path, 3, fault_plan=plan)
@@ -383,7 +377,8 @@ class TestSimAgainstColdOracle:
         sim = run_ingest_sim(
             base_dataset, records=80, seed=3, duplicate_every=7,
             mangle_every=11, cite_every=5, partitions=num_partitions,
-            poison_record=40, crash_batch=1, truncate_journal=True,
+            fault_plan=FaultPlan.of("parse:crash:40x10", "ingest:crash:1",
+                                    "partition:tear:0"),
             workdir=tmp_path / "sim")
         assert sim.crashed and sim.resumed
         assert sim.contract_held, sim.render()

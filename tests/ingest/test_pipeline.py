@@ -145,7 +145,7 @@ class TestQuarantine:
                                                    tmp_path):
         source = SyntheticSource(sorted(base_dataset.articles), 10,
                                  seed=5)
-        plan = FaultPlan(seed=0).crash_parser(4, times=10)
+        plan = FaultPlan.of("parse:crash:4x10")
         pipeline = make_pipeline(base_dataset, source, tmp_path,
                                  fault_plan=plan, parse_attempts=3)
         report = pipeline.run()
@@ -157,7 +157,7 @@ class TestQuarantine:
                                                  tmp_path):
         source = SyntheticSource(sorted(base_dataset.articles), 10,
                                  seed=5)
-        plan = FaultPlan(seed=0).crash_parser(4, times=1)
+        plan = FaultPlan.of("parse:crash:4")
         pipeline = make_pipeline(base_dataset, source, tmp_path,
                                  fault_plan=plan, parse_attempts=2)
         report = pipeline.run()
@@ -171,7 +171,7 @@ class TestResilience:
                                                tmp_path):
         source = SyntheticSource(sorted(base_dataset.articles), 10,
                                  seed=6)
-        plan = FaultPlan(seed=0).fail_source(3, times=2)
+        plan = FaultPlan.of("source:error:3x2")
         pipeline = make_pipeline(base_dataset, source, tmp_path,
                                  fault_plan=plan)
         report = pipeline.run()

@@ -66,8 +66,7 @@ def _run_chaos(tmp_path, obs, wall=None):
     run; the gateway is closed before returning.
     """
     dataset = _dataset()
-    plan = FaultPlan(seed=0)
-    plan.crash_shard(CRASHED_SHARD, epoch=1)
+    plan = FaultPlan.of(f"shard:crash:{CRASHED_SHARD},1")
     live = LiveRanker(dataset, obs=obs)
     source = SyntheticSource(sorted(dataset.articles), 36, seed=3,
                              cite_every=5)

@@ -35,7 +35,7 @@ def traced_crash_run(graph_and_partition):
     obs = Observability("traced")
     engine = ParallelBlockEngine(
         graph, partition, num_workers=2,
-        fault_plan=FaultPlan().crash_worker(1, superstep=2),
+        fault_plan=FaultPlan.of("worker:crash:1,2"),
         retry_policy=FAST_RETRIES)
     result = engine.run(tol=1e-10, obs=obs)
     return baseline, result, obs

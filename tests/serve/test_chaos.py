@@ -68,7 +68,7 @@ def reference_epochs(stream):
 def test_poison_then_crash_full_incident(stream, reference_epochs):
     base, batches = stream
     clock = FakeClock()
-    plan = FaultPlan().poison_batch(1).crash_batch(2)
+    plan = FaultPlan.of("batch:nan:1", "batch:crash:2")
     breaker = CircuitBreaker(failure_threshold=2, cooldown=COOLDOWN,
                              clock=clock)
     service = RankingService(LiveRanker(base), breaker=breaker,
@@ -144,7 +144,7 @@ def test_poison_then_crash_full_incident(stream, reference_epochs):
 def test_probe_failure_reopens_then_recovers(stream):
     base, batches = stream
     clock = FakeClock()
-    plan = FaultPlan().crash_batch(0, times=3)
+    plan = FaultPlan.of("batch:crash:0x3")
     breaker = CircuitBreaker(failure_threshold=1, cooldown=COOLDOWN,
                              clock=clock)
     service = RankingService(LiveRanker(base), breaker=breaker,
@@ -181,7 +181,7 @@ def test_probe_failure_reopens_then_recovers(stream):
 def test_open_breaker_never_attempts(stream):
     base, batches = stream
     clock = FakeClock()
-    plan = FaultPlan().crash_batch(0, times=100)
+    plan = FaultPlan.of("batch:crash:0x100")
     breaker = CircuitBreaker(failure_threshold=1, cooldown=COOLDOWN,
                              clock=clock)
     service = RankingService(LiveRanker(base), breaker=breaker,

@@ -131,7 +131,7 @@ class TestParity:
         # Batch 1 is NaN-poisoned (quarantined), batch 2 crashes once
         # (retried): every read must still equal one RankIndex over
         # what the update path ended up publishing, entry for entry.
-        plan = FaultPlan().poison_batch(1).crash_batch(2)
+        plan = FaultPlan.of("batch:nan:1", "batch:crash:2")
         with make_gateway(gateway_dataset, num_shards=num_shards,
                           fault_plan=plan) as gateway:
             feed(gateway, gateway_dataset, batches=4)
@@ -175,7 +175,7 @@ class TestWorkCount:
             self, gateway_dataset):
         """One counter per shard for the current board epoch; it used
         to keep one per shard per publish, forever."""
-        plan = FaultPlan().poison_shard(1, epoch=20)
+        plan = FaultPlan.of("shard:poison:1,20")
         rng = random.Random(0)
         base_ids = sorted(gateway_dataset.articles)
         _, year = gateway_dataset.year_range()
@@ -242,7 +242,7 @@ class TestChaos:
 
     def test_poisoned_shard_degrades_alone_and_recovers(
             self, gateway_dataset):
-        plan = FaultPlan().poison_shard(1, epoch=1)
+        plan = FaultPlan.of("shard:poison:1,1")
         with make_gateway(gateway_dataset, num_shards=3,
                           fault_plan=plan,
                           auto_respawn=False) as gateway:
@@ -269,7 +269,7 @@ class TestChaos:
 
     def test_crashed_worker_process_detected_and_respawned(
             self, gateway_dataset):
-        plan = FaultPlan().crash_shard(0, epoch=1)
+        plan = FaultPlan.of("shard:crash:0,1")
         with make_gateway(gateway_dataset, num_shards=2,
                           mode="process", fault_plan=plan,
                           auto_respawn=False,
@@ -295,7 +295,7 @@ class TestChaos:
 
     def test_auto_respawn_recovers_within_the_publish(
             self, gateway_dataset):
-        plan = FaultPlan().crash_shard(1, epoch=1)
+        plan = FaultPlan.of("shard:crash:1,1")
         with make_gateway(gateway_dataset, num_shards=2,
                           mode="process", fault_plan=plan,
                           auto_respawn=True,
@@ -308,9 +308,7 @@ class TestChaos:
                 == single_index(gateway).top(10)
 
     def test_all_shards_down_raises_typed_error(self, gateway_dataset):
-        plan = FaultPlan()
-        plan.crash_shard(0, epoch=0, times=10)
-        plan.crash_shard(1, epoch=0, times=10)
+        plan = FaultPlan.of("shard:crash:0,0x10", "shard:crash:1,0x10")
         with make_gateway(gateway_dataset, num_shards=2,
                           fault_plan=plan,
                           auto_respawn=False) as gateway:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.data.generator import GeneratorConfig, generate_dataset
+from repro.resilience import FaultPlan
 from repro.serve import run_load
 
 pytestmark = pytest.mark.serve
@@ -50,7 +51,7 @@ class TestRunLoad:
         # visible when post-run health is sampled.
         report = run_load(load_dataset, num_shards=2, batches=2,
                           batch_size=10, readers=1, queries=8,
-                          poison_shard=1, fault_epoch=2)
+                          fault_plan=FaultPlan.of("shard:poison:1,2"))
         assert report.status == "ok"
         # The fault was visible while live ...
         assert report.degraded_during == [1]
@@ -64,7 +65,8 @@ class TestRunLoad:
         # epoch 2 on batch 2 — where shard 1's slice is poisoned.
         report = run_load(load_dataset, num_shards=2, batches=3,
                           batch_size=10, readers=1, queries=8,
-                          poison_batch=1, poison_shard=1, fault_epoch=2)
+                          fault_plan=FaultPlan.of("batch:nan:1",
+                                                  "shard:poison:1,2"))
         assert report.status == "ok"
         assert [t["status"] for t in report.timeline] \
             == ["published", "quarantined", "published"]
@@ -112,13 +114,37 @@ class TestCli:
         assert main(["serve-load", str(dataset_path), "--shards", "2",
                      "--batches", "2", "--batch-size", "8",
                      "--readers", "1", "--queries", "5",
-                     "--crash-shard", "1",
+                     "--fault", "shard:crash:1,1",
                      "--json", str(artifact),
                      "--report", str(run_report)]) == 0
         capsys.readouterr()
         payload = json.loads(artifact.read_text())
         assert payload["status"] == "ok"
+        assert payload["faults"] == ["shard:crash:1,1"]
         assert payload["degraded_during"] == [1]
         assert payload["shards_missing"] == 0
         gated = json.loads(run_report.read_text())
         assert gated["metrics"]["merge_mismatches"] == 0
+
+    def test_json_lists_the_faults_in_arming_order(self, dataset_path,
+                                                   tmp_path, capsys):
+        artifact = tmp_path / "load.json"
+        specs = ["shard:poison:1,2", "batch:nan:0", "batch:crash:1x2"]
+        argv = ["serve-load", str(dataset_path), "--shards", "2",
+                "--batches", "2", "--batch-size", "8", "--readers", "1",
+                "--queries", "3", "--json", str(artifact)]
+        for spec in specs:
+            argv += ["--fault", spec]
+        main(argv)
+        capsys.readouterr()
+        assert json.loads(artifact.read_text())["faults"] == specs
+
+    @pytest.mark.parametrize("spec", ["worker:crash:0,1",
+                                      "ingest:crash:1",
+                                      "partition:tear:0"])
+    def test_fault_at_an_unconsulted_site_is_a_usage_error(
+            self, dataset_path, capsys, spec):
+        with pytest.raises(SystemExit) as info:
+            main(["serve-load", str(dataset_path), "--fault", spec])
+        assert info.value.code == 2
+        assert spec in capsys.readouterr().err

@@ -161,7 +161,7 @@ class TestUpdatePath:
     def test_poisoned_batch_quarantined_snapshot_keeps_serving(
             self, stream):
         base, batches = stream
-        plan = FaultPlan().poison_batch(0)
+        plan = FaultPlan.of("batch:nan:0")
         service = make_service(base, fault_plan=plan)
         before = service.snapshot()
         report = service.ingest(batches[0])
@@ -185,7 +185,7 @@ class TestUpdatePath:
 
     def test_transient_crash_retried_within_pump(self, stream):
         base, batches = stream
-        plan = FaultPlan().crash_batch(0, times=1)
+        plan = FaultPlan.of("batch:crash:0")
         service = make_service(
             base, fault_plan=plan,
             breaker=CircuitBreaker(failure_threshold=5, cooldown=FAST))
@@ -199,7 +199,7 @@ class TestUpdatePath:
     def test_crash_looping_batch_quarantined_at_attempt_cap(self,
                                                             stream):
         base, batches = stream
-        plan = FaultPlan().crash_batch(0, times=100)
+        plan = FaultPlan.of("batch:crash:0x100")
         service = make_service(
             base, fault_plan=plan, max_batch_attempts=3,
             breaker=CircuitBreaker(failure_threshold=50, cooldown=FAST))
@@ -214,7 +214,7 @@ class TestUpdatePath:
             failure_threshold=1,
             cooldown=RetryPolicy(max_retries=10, base_delay=3600.0,
                                  max_delay=3600.0, jitter=0.0))
-        plan = FaultPlan().crash_batch(0, times=100)
+        plan = FaultPlan.of("batch:crash:0x100")
         service = make_service(base, fault_plan=plan, breaker=breaker,
                                max_batch_attempts=5)
         first = service.ingest(batches[0])
@@ -266,7 +266,7 @@ class TestObservabilityWiring:
     def test_quarantine_event_and_counter(self, stream):
         base, batches = stream
         obs = Observability("serve-test")
-        plan = FaultPlan().poison_batch(0)
+        plan = FaultPlan.of("batch:nan:0")
         service = make_service(base, obs=obs, fault_plan=plan)
         service.ingest(batches[0])
         assert obs.metrics.counter(

@@ -91,7 +91,7 @@ class TestRefresh:
         articles = make_articles(10)
         publish(board, 10, epoch=0)
         spec = ShardSpec(shard=1, num_shards=2)
-        plan = FaultPlan().poison_shard(1, epoch=1)
+        plan = FaultPlan.of("shard:poison:1,1")
         server = ShardServer(
             spec, board.layout,
             [a for a in articles if spec.owns(a.id)],

@@ -2,7 +2,7 @@
 
 The scenarios the old ``serve-sim`` told on a bare service, now run on
 the one harness: ``run_load(num_shards=1)`` / ``repro serve-load
---shards 1`` with ``--crash-batch`` / ``--poison-batch``.
+--shards 1`` with ``--fault batch:crash:B`` / ``--fault batch:nan:B``.
 """
 
 import json
@@ -11,6 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.data.generator import GeneratorConfig, generate_dataset
+from repro.resilience import FaultPlan
 from repro.serve import run_load
 
 pytestmark = pytest.mark.serve
@@ -52,8 +53,9 @@ class TestRunSimulation:
             == [("ingest", "published")] * 3
 
     def test_poison_and_crash_recover_through_breaker(self, sim_dataset):
-        report = run_single(sim_dataset, batches=4, poison_batch=1,
-                            crash_batch=2)
+        report = run_single(sim_dataset, batches=4,
+                            fault_plan=FaultPlan.of("batch:nan:1",
+                                                    "batch:crash:2"))
         # The poisoned batch is quarantined with a usable report...
         assert [record["index"] for record in report.quarantined] == [1]
         assert any("non-finite" in reason
@@ -106,7 +108,7 @@ class TestCli:
         assert main(["serve-load", str(dataset_path), "--shards", "1",
                      "--batches", "3", "--batch-size", "10",
                      "--readers", "1", "--queries", "6",
-                     "--poison-batch", "1", "--json",
+                     "--fault", "batch:nan:1", "--json",
                      str(artifact)]) == 0
         out = capsys.readouterr().out
         assert "quarantined batch 1" in out

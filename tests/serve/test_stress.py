@@ -147,7 +147,7 @@ def test_batches_behind_tracks_queue_exactly(stream):
         failure_threshold=1,
         cooldown=RetryPolicy(max_retries=10, base_delay=3600.0,
                              max_delay=3600.0, jitter=0.0))
-    plan = FaultPlan().crash_batch(0, times=100)
+    plan = FaultPlan.of("batch:crash:0x100")
     service = RankingService(LiveRanker(base), breaker=breaker,
                              fault_plan=plan, max_batch_attempts=100)
     for number, batch in enumerate(batches[:3], start=1):

@@ -133,7 +133,7 @@ class TestTrace:
 
         report_path = tmp_path / "trace.json"
         assert main(["trace", str(dataset_path), "--engine", "parallel",
-                     "--workers", "2", "--crash", "1:2",
+                     "--workers", "2", "--fault", "worker:crash:1,2",
                      "--json", str(report_path)]) == 0
         out = capsys.readouterr().out
         assert "parallel.run" in out
@@ -145,9 +145,22 @@ class TestTrace:
         assert len({span["trace_id"] for span in report["spans"]}) == 1
 
     def test_bad_crash_spec_errors(self, dataset_path, capsys):
-        assert main(["trace", str(dataset_path), "--engine", "parallel",
-                     "--crash", "nope"]) == 1
-        assert "WORKER:SUPERSTEP" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(["trace", str(dataset_path), "--engine", "parallel",
+                  "--fault", "worker:crash:nope"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'worker:crash:nope'" in err
+
+    def test_fault_at_an_unconsulted_site_is_a_usage_error(
+            self, dataset_path, capsys):
+        # The model engine consults no fault site: a worker crash would
+        # otherwise run fault-free and exit 0.
+        with pytest.raises(SystemExit) as info:
+            main(["trace", str(dataset_path),
+                  "--fault", "worker:crash:1,2"])
+        assert info.value.code == 2
+        assert "worker:crash:1,2" in capsys.readouterr().err
 
 
 @pytest.mark.obs

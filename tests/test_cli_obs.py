@@ -87,7 +87,7 @@ class TestBundleDirPlumbing:
     def test_ingest_sim_writes_crash_bundle(self, tmp_path, capsys):
         bundles = tmp_path / "incidents"
         assert main(["ingest-sim", "--records", "40", "--seed", "2",
-                     "--crash-batch", "1",
+                     "--fault", "ingest:crash:1",
                      "--bundle-dir", str(bundles)]) == 0
         saved = sorted(bundles.glob("incident-*.json"))
         assert saved
@@ -100,7 +100,7 @@ class TestBundleDirPlumbing:
         bundles = tmp_path / "incidents"
         assert main(["serve-load", str(dataset_path), "--shards", "2",
                      "--batches", "2", "--readers", "2",
-                     "--queries", "5", "--crash-shard", "1",
+                     "--queries", "5", "--fault", "shard:crash:1,1",
                      "--bundle-dir", str(bundles)]) == 0
         out = capsys.readouterr().out
         assert "incidents    1 bundle(s)" in out
