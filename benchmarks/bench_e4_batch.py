@@ -14,13 +14,82 @@ matters when every round is a distributed superstep (see E5). We report
 both columns honestly.
 """
 
+import time
+from dataclasses import dataclass
+from typing import Optional, Tuple
+
+import numpy as np
 
 from repro.bench.runner import PerfArtifact
 from repro.bench.tables import render_series
 from repro.bench.workloads import sized_citation_graph
-from repro.engine.batch import compare_solvers
+from repro.core.time_weight import TimeDecay
+from repro.core.twpr import TWPRResult, time_weighted_pagerank
+from repro.graph.csr import CSRGraph
 
 SIZES = [5_000, 10_000, 20_000, 40_000, 80_000]
+
+
+@dataclass(frozen=True)
+class SolverComparison:
+    """Naive vs. optimized TWPR on one input (one E4 row).
+
+    ``agreement_l1`` is the L1 distance between the two fixed points —
+    it should sit at solver tolerance, proving the optimization changes
+    the path, not the answer.
+    """
+
+    num_nodes: int
+    num_edges: int
+    naive: TWPRResult
+    naive_seconds: float
+    optimized: TWPRResult
+    optimized_seconds: float
+
+    @property
+    def iteration_speedup(self) -> float:
+        if self.optimized.iterations == 0:
+            return float("inf")
+        return self.naive.iterations / self.optimized.iterations
+
+    @property
+    def time_speedup(self) -> float:
+        if self.optimized_seconds == 0:
+            return float("inf")
+        return self.naive_seconds / self.optimized_seconds
+
+    @property
+    def agreement_l1(self) -> float:
+        return float(np.abs(self.naive.scores
+                            - self.optimized.scores).sum())
+
+
+def compare_solvers(graph: CSRGraph, years: np.ndarray,
+                    decay: Optional[TimeDecay] = None,
+                    damping: float = 0.85, tol: float = 1e-10,
+                    max_iter: int = 200,
+                    methods: Tuple[str, str] = ("power", "levels")
+                    ) -> SolverComparison:
+    """Time the naive and optimized TWPR solvers on the same input."""
+    naive_method, optimized_method = methods
+
+    start = time.perf_counter()
+    naive = time_weighted_pagerank(graph, years, decay=decay,
+                                   damping=damping, tol=tol,
+                                   max_iter=max_iter, method=naive_method)
+    naive_seconds = time.perf_counter() - start
+
+    start = time.perf_counter()
+    optimized = time_weighted_pagerank(graph, years, decay=decay,
+                                       damping=damping, tol=tol,
+                                       max_iter=max_iter,
+                                       method=optimized_method)
+    optimized_seconds = time.perf_counter() - start
+
+    return SolverComparison(
+        num_nodes=graph.num_nodes, num_edges=graph.num_edges,
+        naive=naive, naive_seconds=naive_seconds,
+        optimized=optimized, optimized_seconds=optimized_seconds)
 
 
 def test_e4_solver_scaling(benchmark, run_once):

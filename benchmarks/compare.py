@@ -19,7 +19,10 @@ options, only regressions whose key starts with a given prefix are
 fatal — the rest are reported as *soft* and don't affect the exit
 code. That lets CI hard-fail on deterministic measurements (e.g.
 ``metrics/bytes_``) while tolerating noisy ones (``timings/``) on
-shared runners. Improvements are reported too, never fatal.
+shared runners. A hard gate must gate something: a prefix that matches
+no key both reports share, or a baseline key under a prefix that the
+candidate no longer reports (a renamed metric), exits 1 too.
+Improvements are reported too, never fatal.
 Values too small to time reliably (< 1 ms) are skipped — their ratios
 are noise. Works across format versions: v1 artifacts simply have
 fewer sections to compare.
@@ -154,6 +157,23 @@ def split_regressions(comparison: Comparison,
     return hard, soft
 
 
+def ungated(baseline: Dict[str, object], candidate: Dict[str, object],
+            hard_prefixes: Optional[Sequence[str]]) -> List[str]:
+    """Hard gates that compare nothing: each prefix matching no shared
+    key, and each baseline key under a prefix the candidate lacks."""
+    base = _measurements(baseline)
+    cand = _measurements(candidate)
+    shared = set(base) & set(cand)
+    problems = []
+    for prefix in hard_prefixes or ():
+        problems += [f"{key} (missing from the candidate)"
+                     for key in sorted(base)
+                     if key.startswith(prefix) and key not in cand]
+        if not any(key.startswith(prefix) for key in shared):
+            problems.append(f"{prefix} (matches no shared key)")
+    return problems
+
+
 def render(comparison: Comparison, baseline_name: str,
            candidate_name: str, threshold: float,
            hard_prefixes: Optional[Sequence[str]] = None) -> str:
@@ -213,7 +233,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except OSError:
             pass
     hard, _ = split_regressions(comparison, args.hard_prefixes)
-    return 1 if hard else 0
+    missing = ungated(baseline, candidate, args.hard_prefixes)
+    for problem in missing:
+        print(f"UNGATED      {problem}", file=sys.stderr)
+    return 1 if hard or missing else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,10 +1,11 @@
 """Streaming-ingest chaos CI smoke benchmark (small, fast, gated).
 
-Runs :func:`repro.ingest.run_ingest_sim` with every fault class armed —
+Runs the ingest-sim drill (:func:`repro.drill.run_drill` with a
+:class:`~repro.drill.RecordFeed`) with every ingest fault class armed —
 duplicate storm, mangled records, late citations, a source stall, a
 transient source error, a flaky parser, a poison record, a mid-batch
-worker kill with journal resume, and a torn journal tail — then writes
-one ``RunReport`` with:
+coordinator kill with journal resume behind a rebuilt gateway, and a
+torn journal tail. The drill's ``RunReport`` carries, among the rest:
 
 * ``metrics/records_lost`` / ``metrics/duplicates_applied`` — clean
   feed records missing from the final corpus, and records applied more
@@ -49,7 +50,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.ingest import run_ingest_sim
+from repro.drill import RecordFeed, contract_held, render, run_drill
 from repro.resilience import FaultPlan
 
 #: Every fault class the ingest sites take, armed in one run.
@@ -68,31 +69,33 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=2)
     args = parser.parse_args(argv)
 
-    sim = run_ingest_sim(
-        records=args.records, seed=args.seed,
-        duplicate_every=7, mangle_every=11, cite_every=5,
-        fault_plan=FaultPlan.of(*FAULTS))
-    print(sim.render())
+    report = run_drill(
+        None, RecordFeed(records=args.records, duplicate_every=7,
+                         mangle_every=11, cite_every=5),
+        seed=args.seed, fault_plan=FaultPlan.of(*FAULTS))
+    report.name = "ingest-smoke"
+    print(render(report))
+    metrics = report.metrics
 
-    if sim.status != "ok":
-        print(f"FATAL: run {sim.status}: {sim.error}",
+    if metrics["status"] != "ok":
+        print(f"FATAL: run {metrics['status']}: {metrics['error']}",
               file=sys.stderr)
         return 2
-    if not (sim.crashed and sim.resumed):
+    if not (metrics["crashed"] and metrics["resumed"]):
         print("FATAL: the scripted mid-batch crash (or the journal "
               "resume) never happened — the chaos run tested nothing",
               file=sys.stderr)
         return 2
-    if not sim.contract_held:
+    if not contract_held(report):
         print(f"FATAL: delivery contract violated "
-              f"(records_lost={sim.metrics.get('records_lost')}, "
-              f"duplicates_applied="
-              f"{sim.metrics.get('duplicates_applied')}, "
-              f"bit_identical={sim.metrics.get('bit_identical')})",
+              f"(records_lost={metrics['records_lost']}, "
+              f"duplicates_applied={metrics['duplicates_applied']}, "
+              f"bit_identical={metrics['bit_identical']}, "
+              f"merge_mismatches={metrics['merge_mismatches']})",
               file=sys.stderr)
         return 2
 
-    print(f"wrote {sim.to_report().save(args.json)}")
+    print(f"wrote {report.save(args.json)}")
     return 0
 
 

@@ -67,10 +67,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.data.generator import GeneratorConfig, generate_dataset
+from repro.drill import datasets_equal, delivery_diff, fault_free_reference
 from repro.engine.live import LiveRanker
-from repro.ingest import (Coalescer, PartitionedIngestPipeline,
-                          SyntheticSource, fault_free_reference)
-from repro.ingest.sim import datasets_equal, delivery_diff
+from repro.ingest import Coalescer, PartitionedIngestPipeline, SyntheticSource
 from repro.engine.updates import apply_update
 from repro.obs import Observability
 from repro.obs.metrics import FRESHNESS_METRIC

@@ -1,7 +1,9 @@
 """Sharded serve-load CI smoke benchmark (small, fast, gated).
 
-Drives the K-shard scatter-gather gateway under publish churn with one
-shard crash-faulted mid-run, then writes one ``RunReport`` with:
+Runs the serve-load drill (:func:`repro.drill.run_drill` with an
+:class:`~repro.drill.ArrivalFeed`): the K-shard scatter-gather gateway
+under publish churn with one shard crash-faulted mid-run. The drill's
+``RunReport`` carries, among the rest:
 
 * ``metrics/merge_mismatches`` — merged top-k entries that differ from
   the published ranking's own order (bit-exact compare: ids, scores,
@@ -11,8 +13,9 @@ shard crash-faulted mid-run, then writes one ``RunReport`` with:
   Deterministic, must stay 0;
 * ``metrics/num_shards`` / ``metrics/board_epoch`` — run shape
   (deterministic for fixed arguments);
-* ``metrics/p50_ms`` / ``metrics/p99_ms`` / ``metrics/avg_latency_ms``
-  — tail latency under churn (noisy on shared runners).
+* ``metrics/p50_ms`` / ``metrics/tail_ms`` / ``metrics/avg_latency_ms``
+  — latency under churn, the tail at ``metrics/tail_pct``: the highest
+  percentile with ten samples beyond it (noisy on shared runners).
 
 CI diffs the report against the committed baseline with::
 
@@ -42,8 +45,8 @@ import sys
 from typing import Optional, Sequence
 
 from repro.data.generator import GeneratorConfig, generate_dataset
+from repro.drill import ArrivalFeed, render, run_drill
 from repro.resilience import FaultPlan
-from repro.serve import run_load
 
 CRASHED_SHARD = 1
 
@@ -69,33 +72,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              num_authors=args.scale // 4,
                              start_year=2000, end_year=2012, seed=23)
     dataset = generate_dataset(config)
-    report = run_load(dataset, num_shards=args.shards, mode=args.mode,
-                      batches=args.batches, batch_size=16,
-                      readers=args.readers, queries=args.queries,
-                      fault_plan=FaultPlan.of(
-                          f"shard:crash:{CRASHED_SHARD},1"))
-    print(report.render())
+    report = run_drill(
+        dataset, ArrivalFeed(batches=args.batches, batch_size=16,
+                             shards=args.shards, mode=args.mode),
+        readers=args.readers, queries=args.queries,
+        fault_plan=FaultPlan.of(f"shard:crash:{CRASHED_SHARD},1"))
+    report.name = "serve_load_smoke"
+    print(render(report))
+    metrics = report.metrics
 
-    if report.status != "ok":
-        print(f"FATAL: run {report.status}: {report.error}",
+    if metrics["status"] != "ok":
+        print(f"FATAL: run {metrics['status']}: {metrics['error']}",
               file=sys.stderr)
         return 2
-    if report.degraded_during != [CRASHED_SHARD]:
+    if metrics["degraded_during"] != [CRASHED_SHARD]:
         print(f"FATAL: crashed shard {CRASHED_SHARD} not visible in "
-              f"health() while faulted (saw {report.degraded_during})",
-              file=sys.stderr)
+              f"health() while faulted (saw "
+              f"{metrics['degraded_during']})", file=sys.stderr)
         return 2
-    if report.shards_missing or report.health.get("status") != "fresh":
+    if metrics["shards_missing"] \
+            or metrics["health"].get("status") != "fresh":
         print("FATAL: repair() did not restore every shard",
               file=sys.stderr)
         return 2
-    if report.merge_mismatches:
-        print(f"FATAL: {report.merge_mismatches} merged entries "
-              f"differ from the single-process service",
-              file=sys.stderr)
+    if metrics["merge_mismatches"]:
+        print(f"FATAL: {metrics['merge_mismatches']} merged entries "
+              f"differ from the published ranking", file=sys.stderr)
         return 2
 
-    print(f"wrote {report.to_report().save(args.json)}")
+    print(f"wrote {report.save(args.json)}")
     return 0
 
 

@@ -18,23 +18,24 @@ Commands:
     resume    — inspect a live-ranker checkpoint directory (rotation
                 health, manifest) and continue the session from the
                 newest intact rotation.
-    serve-load — drive concurrent readers against the serving gateway
-                (``--shards 1`` = the single-process tier) under
-                publish churn, optionally crash/NaN-poisoning chosen
-                batches and shards (``--fault``), and report the health
-                timeline, sustained QPS, p50/p99 latency, and merge
-                parity.
-    ingest-sim — run the streaming-ingest chaos harness (journal,
-                dedup, backpressure, crash-resume) against a synthetic
-                feed and report the delivery-contract verdict;
-                ``--partitions K`` sets the worker count, ``--fault``
-                arms source/parse/ingest/partition faults.
+    serve-load — drill the gateway (``--shards 1`` = the single-process
+                tier) with arrival batches under concurrent readers,
+                optionally crash/NaN-poisoning batches and shards
+                (``--fault``): health timeline, QPS, latency, merge
+                parity and the delivery contract.
+    ingest-sim — drill the streaming-ingest pipeline (journal, dedup,
+                backpressure, crash-resume) into the gateway from a
+                synthetic record feed; ``--partitions K`` workers,
+                ``--fault`` arms source/parse/ingest/partition faults.
     ingest-compact — archive (or delete) the sealed, cursor-covered
                 segments of every partition journal under a journal
                 root and report the bytes reclaimed.
-    watch     — live health/SLO/freshness table from a small inline
-                gateway sim, or offline triage of an incident bundle
-                (``--bundle``).
+    watch     — the serve-load drill printing a live health/SLO/
+                freshness table per batch, or offline triage of an
+                incident bundle (``--bundle``).
+
+The three drills are one harness (:mod:`repro.drill`); ``--json``
+saves its one artifact, a RunReport ``benchmarks/compare.py`` gates.
 
 ``profile`` and ``trace`` also accept ``--bundle PATH`` to render the
 metrics / span tree frozen inside an incident bundle instead of running
@@ -48,7 +49,7 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import ReproError
 from repro.core.model import ArticleRanker, RankerConfig
@@ -60,9 +61,6 @@ from repro.data.mag import parse_mag_directory
 from repro.data.schema import ScholarlyDataset
 from repro.eval.protocol import evaluate_ranking
 from repro.graph.stats import compute_stats
-
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.engine.updates import UpdateBatch
 
 
 def _load_any(path: str) -> ScholarlyDataset:
@@ -297,49 +295,17 @@ def _load_bundle(path: str):
             f"cannot load incident bundle {path}: {exc}") from exc
 
 
-def _statuses_from_dicts(payloads):
-    """Rebuild ``SLOStatus`` objects from their bundle ``as_dict`` form."""
-    from repro.obs import SLOStatus
-
-    statuses = []
-    for payload in payloads:
-        statuses.append(SLOStatus(
-            name=str(payload.get("name", "?")),
-            kind=str(payload.get("kind", "?")),
-            objective=float(payload.get("objective", 0.0)),
-            breaching=bool(payload.get("breaching", False)),
-            burn_rates={float(window): float(rate) for window, rate
-                        in (payload.get("burn_rates") or {}).items()},
-            events=int(payload.get("events", 0)),
-            value=float(payload.get("value", 0.0)),
-            detail=str(payload.get("detail", ""))))
-    return statuses
-
-
-def _freshness_line(snapshot) -> str:
-    """One-line arrival→served summary from a registry snapshot."""
-    from repro.obs.metrics import FRESHNESS_METRIC
-
-    instrument = snapshot.get(FRESHNESS_METRIC)
-    if not instrument:
-        return ""
-    parts = []
-    for entry in instrument.get("values", []):
-        stage = entry.get("labels", {}).get("stage", "?")
-        count = entry.get("count", 0)
-        mean = entry.get("sum", 0.0) / count if count else 0.0
-        parts.append(f"{stage}: n={count} mean={mean * 1e3:.2f}ms")
-    return "freshness: " + "  ".join(sorted(parts)) if parts else ""
-
-
-def _render_bundle_profile(path: str) -> int:
-    from repro.obs import render_slo_table
+def _render_bundle(path: str) -> int:
+    """Offline triage of an incident bundle (``profile``/``watch``)."""
+    from repro.drill import freshness_line
+    from repro.obs import SLOStatus, render_slo_table
 
     bundle = _load_bundle(path)
     print(bundle.render())
     if bundle.slo:
         print()
-        print(render_slo_table(_statuses_from_dicts(bundle.slo)))
+        print(render_slo_table([SLOStatus.from_dict(payload)
+                                for payload in bundle.slo]))
     if bundle.metrics:
         print(f"\n# metrics ({len(bundle.metrics)} instruments)")
         for name in sorted(bundle.metrics):
@@ -357,7 +323,7 @@ def _render_bundle_profile(path: str) -> int:
                 total = sum(v.get("value", 0.0)
                             for v in snap.get("values", []))
                 print(f"{name}: {kind} {total:g}")
-        line = _freshness_line(bundle.metrics)
+        line = freshness_line(bundle.metrics)
         if line:
             print(line)
     return 0
@@ -367,7 +333,7 @@ def _command_profile(args: argparse.Namespace) -> int:
     from repro.obs import RunReport, SolverTelemetry, StageTimings
 
     if args.bundle:
-        return _render_bundle_profile(args.bundle)
+        return _render_bundle(args.bundle)
     if not args.dataset:
         raise ReproError("profile needs a dataset (or --bundle PATH)")
     dataset = _load_any(args.dataset)
@@ -474,21 +440,12 @@ def _command_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _synthetic_batch(dataset: ScholarlyDataset, size: int,
-                     rng) -> "UpdateBatch":
-    """A plausible arrival batch: fresh ids citing existing articles."""
-    from repro.serve.load import synthetic_batch
-
-    existing = sorted(dataset.articles)
-    _, max_year = dataset.year_range()
-    return synthetic_batch(existing, existing[-1] + 1, size, max_year,
-                           rng)
-
-
 def _command_resume(args: argparse.Namespace) -> int:
     import json as json_module
     import random
+    from itertools import islice
 
+    from repro.drill import arrival_batches
     from repro.engine.live import LiveRanker, checkpoint_rotations
     from repro.engine.state import verify_checkpoint
 
@@ -519,15 +476,14 @@ def _command_resume(args: argparse.Namespace) -> int:
           f"{dataset.num_citations} citations, "
           f"batch count {live.batches_applied}")
 
-    if args.batches:
-        rng = random.Random(args.seed)
-        for _ in range(args.batches):
-            _, report = live.apply(
-                _synthetic_batch(live.dataset, args.batch_size, rng))
-            print(f"applied batch {live.batches_applied}: affected "
-                  f"{report.affected.fraction:.1%} of "
-                  f"{report.num_nodes} nodes in "
-                  f"{report.iterations} iteration(s)")
+    arrivals = arrival_batches(live.dataset, args.batch_size,
+                               random.Random(args.seed))
+    for batch in islice(arrivals, args.batches):
+        _, report = live.apply(batch)
+        print(f"applied batch {live.batches_applied}: affected "
+              f"{report.affected.fraction:.1%} of "
+              f"{report.num_nodes} nodes in "
+              f"{report.iterations} iteration(s)")
 
     dataset = live.dataset
     print(f"# top {args.top} of {dataset.num_articles} articles")
@@ -539,70 +495,60 @@ def _command_resume(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_serve_load(args: argparse.Namespace) -> int:
-    from repro.serve import run_load
+def _finish_drill(report, args: argparse.Namespace) -> int:
+    """Print and save a drill's report; exit 1 unless it held."""
+    from repro.drill import contract_held, render
 
-    dataset = _load_any(args.dataset)
-    report = run_load(
-        dataset, num_shards=args.shards, mode=args.mode,
-        batches=args.batches, batch_size=args.batch_size,
+    if args.command != "watch":
+        print(render(report))
+    # Written even for degraded/failed runs: a missing artifact in CI
+    # must mean the command never ran, not that the drill broke.
+    if getattr(args, "json", None):
+        print(f"wrote {report.save(args.json)}")
+    metrics = report.metrics
+    if metrics["status"] == "failed":
+        print(f"error: {args.command} run failed: {metrics['error']}",
+              file=sys.stderr)
+        return 1
+    if not contract_held(report):
+        print("error: delivery contract violated (loss, duplicate "
+              "application, ranking divergence or merge mismatch)",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
+def _command_serve_load(args: argparse.Namespace) -> int:
+    from repro.drill import ArrivalFeed, run_drill
+
+    report = run_drill(
+        _load_any(args.dataset),
+        ArrivalFeed(batches=args.batches, batch_size=args.batch_size,
+                    shards=args.shards, mode=args.mode),
         readers=args.readers, queries=args.queries, top=args.top,
         fault_plan=_fault_plan(args), seed=args.seed,
         bundle_dir=Path(args.bundle_dir) if args.bundle_dir else None)
-    print(report.render())
-    # The artifact is written even for degraded/failed runs — a missing
-    # timeline in CI must mean the command never ran, not that the
-    # simulated pipeline tripped.
-    if args.json:
-        Path(args.json).write_text(report.to_json() + "\n",
-                                   encoding="utf-8")
-        print(f"wrote {args.json}")
-    if args.report:
-        report.to_report().save(args.report)
-        print(f"wrote {args.report}")
-    if report.status == "failed":
-        print(f"error: serve-load run failed: {report.error}",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _finish_drill(report, args)
 
 
 def _command_ingest_sim(args: argparse.Namespace) -> int:
-    from repro.ingest import run_ingest_sim
+    from repro.drill import RecordFeed, run_drill
 
-    dataset = _load_any(args.dataset) if args.dataset else None
-    sim = run_ingest_sim(
-        dataset, records=args.records, seed=args.seed,
-        duplicate_every=args.duplicate_every,
-        mangle_every=args.mangle_every, cite_every=args.cite_every,
-        fault_plan=_fault_plan(args), min_batch=args.min_batch,
-        max_batch=args.max_batch, max_queue=args.max_queue,
-        checkpoint_batches=args.checkpoint_batches,
-        partitions=args.partitions,
-        segment_records=args.segment_records,
-        compaction=None if args.compaction == "off"
-        else args.compaction,
+    report = run_drill(
+        _load_any(args.dataset) if args.dataset else None,
+        RecordFeed(records=args.records,
+                   duplicate_every=args.duplicate_every,
+                   mangle_every=args.mangle_every,
+                   cite_every=args.cite_every,
+                   partitions=args.partitions, min_batch=args.min_batch,
+                   max_batch=args.max_batch, max_queue=args.max_queue,
+                   checkpoint_batches=args.checkpoint_batches,
+                   segment_records=args.segment_records,
+                   compaction=None if args.compaction == "off"
+                   else args.compaction),
+        fault_plan=_fault_plan(args), seed=args.seed,
         bundle_dir=Path(args.bundle_dir) if args.bundle_dir else None)
-    print(sim.render())
-    # Written even for failed/violated runs: a missing artifact in CI
-    # must mean the command never ran, not that the contract broke.
-    if args.json:
-        Path(args.json).write_text(sim.to_json() + "\n",
-                                   encoding="utf-8")
-        print(f"wrote {args.json}")
-    if args.report:
-        sim.to_report().save(args.report)
-        print(f"wrote {args.report}")
-    if sim.status == "failed":
-        print(f"error: ingest-sim run failed: {sim.error}",
-              file=sys.stderr)
-        return 1
-    if not sim.contract_held:
-        print("error: ingest delivery contract violated "
-              "(loss, duplicate application, or ranking divergence)",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _finish_drill(report, args)
 
 
 def _command_ingest_compact(args: argparse.Namespace) -> int:
@@ -638,64 +584,59 @@ def _command_ingest_compact(args: argparse.Namespace) -> int:
 
 
 def _command_watch(args: argparse.Namespace) -> int:
-    from repro.obs import (FlightRecorder, Observability, SLOMonitor,
-                           render_slo_table)
-
     if args.bundle:
         # Offline triage: everything comes from the frozen bundle.
-        bundle = _load_bundle(args.bundle)
-        print(bundle.render())
-        if bundle.slo:
-            print()
-            print(render_slo_table(_statuses_from_dicts(bundle.slo)))
-        line = _freshness_line(bundle.metrics)
-        if line:
-            print(line)
-        return 0
-
+        return _render_bundle(args.bundle)
     if not args.dataset:
         raise ReproError("watch needs a dataset (or --bundle PATH)")
 
-    import random
-    from dataclasses import replace as dc_replace
+    from repro.drill import ArrivalFeed, freshness_line, run_drill
+    from repro.obs import FlightRecorder, Observability, render_slo_table
 
-    from repro.engine.live import LiveRanker
-    from repro.engine.updates import BatchProvenance
-    from repro.serve import ShardedGateway
-
+    iterations = 1 if args.once else args.iterations
     dataset = _load_any(args.dataset)
     recorder = FlightRecorder(bundle_dir=args.bundle_dir)
-    obs = Observability(f"watch-{dataset.name}", recorder=recorder)
-    live = LiveRanker(dataset, obs=obs)
-    rng = random.Random(args.seed)
-    iterations = 1 if args.once else args.iterations
-    with ShardedGateway(live, args.shards, mode="inline",
-                        obs=obs) as gateway:
-        monitor = SLOMonitor(obs.metrics, recorder=recorder)
-        for tick in range(iterations):
-            batch = _synthetic_batch(live.dataset, args.batch_size, rng)
-            now = time.time()
-            batch = dc_replace(batch, provenance=BatchProvenance(
-                arrivals=(now,) * batch.num_articles))
-            gateway.ingest(batch)
-            for _ in range(args.queries):
-                gateway.top_sync(args.top)
-            health = gateway.health()
-            recorder.record_health(health)
-            statuses = monitor.tick()
-            print(f"# watch tick {tick + 1}/{iterations}: "
-                  f"status={health['status']} "
-                  f"board_epoch={health['board_epoch']} "
-                  f"degraded={list(health['degraded_shards'])}")
-            print(render_slo_table(statuses))
-            line = _freshness_line(obs.metrics.snapshot())
-            if line:
-                print(line)
-            if tick + 1 < iterations and args.interval > 0:
-                time.sleep(args.interval)
+
+    def _tick(drill, entry) -> None:
+        for _ in range(args.queries):
+            drill.gateway.top_sync(args.top)
+        health = drill.gateway.health()
+        recorder.record_health(health)
+        statuses = drill.monitor.tick()
+        tick = entry["tick"] + 1
+        print(f"# watch tick {tick}/{iterations}: "
+              f"status={health['status']} "
+              f"board_epoch={health['board_epoch']} "
+              f"degraded={list(health['degraded_shards'])}")
+        print(render_slo_table(statuses))
+        line = freshness_line(drill.obs.metrics.snapshot())
+        if line:
+            print(line)
+        if tick < iterations and args.interval > 0:
+            time.sleep(args.interval)
+
+    report = run_drill(
+        dataset, ArrivalFeed(batches=iterations,
+                             batch_size=args.batch_size,
+                             shards=args.shards),
+        top=args.top, seed=args.seed, on_tick=_tick,
+        obs=Observability(f"watch-{dataset.name}", recorder=recorder))
     for path in recorder.saved_paths:
         print(f"wrote {path}")
-    return 0
+    return _finish_drill(report, args)
+
+
+def _add_drill_arguments(command: argparse.ArgumentParser,
+                         handler) -> None:
+    command.add_argument("--seed", type=int, default=0)
+    command.add_argument("--bundle-dir", type=str, default=None,
+                         help="write incident bundles (a coordinator "
+                              "crash, an SLO breach while a fault is "
+                              "live) here")
+    command.add_argument("--json", type=str, default=None,
+                         help="also save the drill's RunReport as JSON "
+                              "(benchmarks/compare.py gates it)")
+    command.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -896,16 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_load.add_argument("--top", type=int, default=10,
                             help="k each reader requests")
     _add_fault_argument(serve_load, "batch", "shard")
-    serve_load.add_argument("--seed", type=int, default=0)
-    serve_load.add_argument("--bundle-dir", type=str, default=None,
-                            help="write incident bundles (SLO breach "
-                                 "during an injected fault) here")
-    serve_load.add_argument("--json", type=str, default=None,
-                            help="also save the full report as JSON")
-    serve_load.add_argument("--report", type=str, default=None,
-                            help="write a RunReport for "
-                                 "benchmarks/compare.py gating")
-    serve_load.set_defaults(handler=_command_serve_load)
+    _add_drill_arguments(serve_load, _command_serve_load)
 
     ingest_sim = commands.add_parser(
         "ingest-sim", help="streaming-ingest chaos harness: journal, "
@@ -916,7 +848,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "generated one)")
     ingest_sim.add_argument("--records", type=int, default=80,
                             help="feed records to stream")
-    ingest_sim.add_argument("--seed", type=int, default=0)
     ingest_sim.add_argument("--duplicate-every", type=int, default=0,
                             help="every n-th record re-delivers an "
                                  "earlier one (duplicate storm)")
@@ -951,15 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
                             default="off",
                             help="reclaim sealed cursor-covered "
                                  "journal segments after each commit")
-    ingest_sim.add_argument("--bundle-dir", type=str, default=None,
-                            help="write incident bundles (worker "
-                                 "crash capture) here")
-    ingest_sim.add_argument("--json", type=str, default=None,
-                            help="also save the verdict as JSON")
-    ingest_sim.add_argument("--report", type=str, default=None,
-                            help="write a RunReport for "
-                                 "benchmarks/compare.py gating")
-    ingest_sim.set_defaults(handler=_command_ingest_sim)
+    _add_drill_arguments(ingest_sim, _command_ingest_sim)
 
     ingest_compact = commands.add_parser(
         "ingest-compact", help="archive or delete the sealed, cursor-"

@@ -1,7 +1,5 @@
-"""Execution engines: batch, block-centric parallel, and incremental.
+"""Execution engines: block-centric parallel and incremental.
 
-* :mod:`repro.engine.batch` — one-shot whole-graph computation plus the
-  solver comparison used by the batch-efficiency experiment (E4).
 * :mod:`repro.engine.blocks` — block-centric (graph-centric) superstep
   engine and the vertex-centric baseline, with superstep/message
   accounting (E5).
@@ -11,7 +9,6 @@
   discovery and boundary-fixed re-iteration (E6/E7).
 """
 
-from repro.engine.batch import BatchRanker, SolverComparison, compare_solvers
 from repro.engine.blocks import (
     BlockEngine,
     BlockRankResult,
@@ -33,9 +30,6 @@ from repro.engine.updates import (
 )
 
 __all__ = [
-    "BatchRanker",
-    "SolverComparison",
-    "compare_solvers",
     "BlockEngine",
     "BlockRankResult",
     "vertex_centric_pagerank",

@@ -28,13 +28,10 @@ contract a production index needs:
   corpus independent of K, and sealed, cursor-covered segments are
   reclaimed by :meth:`~repro.ingest.journal.IngestJournal.compact`
   (``repro ingest-compact``);
-* **verified freshness under chaos** —
-  :func:`~repro.ingest.sim.run_ingest_sim` (the ``repro ingest-sim``
-  command) injects stalls, transient errors, parser crashes, poison
-  records, duplicate storms, partition-worker deaths, a mid-batch
-  coordinator kill, and torn journal tails, then proves zero loss,
-  zero duplicate application, and a final ranking bit-identical to the
-  cold single-batch oracle.
+* **verified under chaos** — ``repro ingest-sim`` (a
+  :class:`~repro.drill.RecordFeed` drill) proves zero loss, zero
+  duplicate application, and a final ranking bit-identical to the cold
+  single-batch oracle under every ingest fault.
 
 See ``docs/OPERATIONS.md`` ("Streaming ingestion") for the operational
 picture: journal layout, offset semantics, backpressure knobs, archival
@@ -50,7 +47,6 @@ from repro.ingest.partition import (
     partition_of,
     partition_route,
 )
-from repro.ingest.sim import fault_free_reference, run_ingest_sim
 from repro.ingest.source import JsonlSource, SyntheticSource, route_key
 
 __all__ = [
@@ -61,9 +57,7 @@ __all__ = [
     "JsonlSource",
     "PartitionedIngestPipeline",
     "SyntheticSource",
-    "fault_free_reference",
     "partition_of",
     "partition_route",
     "route_key",
-    "run_ingest_sim",
 ]

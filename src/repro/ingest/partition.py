@@ -40,11 +40,12 @@ then one shared tail. Each stage owns one failure mode:
 6. **Apply + commit** — batches go through
    :func:`~repro.engine.updates.validate_update_batch` into the
    :class:`~repro.engine.live.LiveRanker` (or a serving ``sink``);
-   every ``checkpoint_batches`` applied batches the ranker writes a
+   every ``checkpoint_batches`` cut batches the ranker writes a
    rotation and *only then* each partition's cursor advances — to the
    oldest of its offsets still queued in the coalescer (tracked by a
-   FIFO mirror of the queue), or to everything it has handled when
-   none are queued.
+   FIFO mirror of the queue) or held in a sink's backlog (a batch the
+   sink deferred, e.g. behind an open breaker), or to everything it has
+   handled when neither holds any.
 
 A crash, stall, or torn tail in one partition is recovered *in
 isolation* — its journal reopens, its cursor drives its replay, its
@@ -66,6 +67,7 @@ import heapq
 import time
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import (TYPE_CHECKING, Callable, Deque, Dict, List,
                     Optional, Tuple, Union)
@@ -365,7 +367,10 @@ class PartitionedIngestPipeline:
         :class:`~repro.serve.service.RankingService` or
         :class:`~repro.serve.gateway.ShardedGateway`). Admission still
         checks ``live.dataset``, which the sink mutates through the
-        shared ranker, so dedup stays authoritative. ``wall_clock`` is
+        shared ranker, so dedup stays authoritative. Batches in the
+        sink's backlog (its report's ``batches_behind``) count as
+        applied, and commit, only once it publishes or quarantines
+        them. ``wall_clock`` is
         the arrival/served stamp source (injectable for deterministic
         freshness tests).
 
@@ -435,6 +440,9 @@ class PartitionedIngestPipeline:
         # offset) per queued item, in queue order — cuts pop the same
         # prefix, so the head is each commit's oldest-queued barrier.
         self._pending: Deque[Tuple[int, int]] = deque()
+        #: cut batches not yet published or quarantined (a sink's
+        #: backlog), oldest first, with their (partition, offset)s.
+        self._unsettled: Deque[Tuple[object, list]] = deque()
         self._handled = [0] * num_partitions
         self._batches_since_checkpoint = 0
         self._durable = live.checkpoint_dir is not None
@@ -655,6 +663,7 @@ class PartitionedIngestPipeline:
             if envelope.replayed:
                 self.report.records_replayed += 1
             if envelope.item is not None:
+                self.report.parse_report.record_ok()
                 offered = self.admission.admit(
                     envelope.item, arrived_at=self._arrival_stamp(),
                     arrived_wall=self.wall_clock())
@@ -722,7 +731,7 @@ class PartitionedIngestPipeline:
             # them back.
             self.fault_plan.fire("ingest", (self.live.batches_applied,),
                                  self.incarnation)
-        outcome = None
+        outcome, behind = None, 0
         with maybe_span(self.obs, "ingest.batch",
                         articles=batch.num_articles,
                         citations=len(batch.citations),
@@ -731,12 +740,18 @@ class PartitionedIngestPipeline:
                 # The serving tier validates, applies (to the shared
                 # ranker) and publishes; its guardrails own rejection.
                 outcome = self.sink.ingest(batch)
+                behind = outcome.batches_behind
             else:
                 validate_update_batch(batch, self.live.dataset)
                 self.live.apply(batch)
-        self.report.batches_applied += 1
-        self.report.articles_applied += batch.num_articles
-        self.report.citations_applied += len(batch.citations)
+        # A sink drains its backlog head-first: everything older than
+        # its last ``batches_behind`` batches is settled, so counted.
+        self._unsettled.append((batch, cut_from))
+        while len(self._unsettled) > behind:
+            settled, _ = self._unsettled.popleft()
+            self.report.batches_applied += 1
+            self.report.articles_applied += settled.num_articles
+            self.report.citations_applied += len(settled.citations)
         now = self._arrival_stamp()
         for arrived_at in arrivals:
             lag = int(now - arrived_at)
@@ -773,9 +788,12 @@ class PartitionedIngestPipeline:
             self._commit()
 
     def _coverage(self, partition: int) -> int:
-        """Partition p's commit barrier: its oldest queued offset, or
-        everything it has handled when nothing of p's is queued."""
-        for pending_partition, offset in self._pending:
+        """Partition p's commit barrier: its oldest offset in the sink's
+        backlog or the coalescer queue, or everything it has handled
+        when neither holds one of p's records."""
+        unsettled = (entry for _, cut_from in self._unsettled
+                     for entry in cut_from)
+        for pending_partition, offset in chain(unsettled, self._pending):
             if pending_partition == partition:
                 return offset
         return self._handled[partition]
@@ -785,9 +803,9 @@ class PartitionedIngestPipeline:
 
         Ordering is the invariant: a cursor names only offsets whose
         effects are inside a durable rotation. Each partition's
-        coverage stops at its oldest still-queued item — those records
-        are handled but not yet applied, so they must replay after a
-        crash.
+        coverage stops at its oldest item still queued or in the sink's
+        backlog — those records are handled but not yet applied, so
+        they must replay after a crash.
         """
         from repro.obs.handle import maybe_span
 

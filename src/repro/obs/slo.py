@@ -124,6 +124,21 @@ class SLOStatus:
             "detail": self.detail,
         }
 
+    @classmethod
+    def from_dict(cls, payload: Dict[str, object]) -> "SLOStatus":
+        """Rebuild a status from its :meth:`as_dict` form (a bundle's
+        ``slo`` section), tolerating missing fields."""
+        return cls(
+            name=str(payload.get("name", "?")),
+            kind=str(payload.get("kind", "?")),
+            objective=float(payload.get("objective", 0.0)),
+            breaching=bool(payload.get("breaching", False)),
+            burn_rates={float(window): float(rate) for window, rate
+                        in (payload.get("burn_rates") or {}).items()},
+            events=int(payload.get("events", 0)),
+            value=float(payload.get("value", 0.0)),
+            detail=str(payload.get("detail", "")))
+
 
 def default_slos() -> Tuple[SLOSpec, ...]:
     """The serving tier's standing objectives (see OBSERVABILITY.md)."""

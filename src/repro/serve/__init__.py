@@ -6,9 +6,9 @@ shared-memory score board at scale. It composes one
 :class:`RankingService` (apply → guardrails → rollback/quarantine →
 breaker → swap of an immutable :class:`Snapshot`) and serves every read
 from per-shard indexes whose merge is bit-identical to one
-:class:`repro.query.RankIndex`. :func:`run_load` is the one harness:
-readers vs a batch- and shard-faultable feed. See
-``docs/OPERATIONS.md`` ("Serving") for the degradation ladder.
+:class:`repro.query.RankIndex`. ``repro serve-load`` drills it under
+faults (:mod:`repro.drill`). See ``docs/OPERATIONS.md`` ("Serving") for
+the degradation ladder.
 """
 
 from repro.serve.admission import AdmissionGate
@@ -17,7 +17,6 @@ from repro.serve.breaker import (CLOSED, HALF_OPEN, OPEN, STATE_CODES,
 from repro.serve.gateway import GatewayReadResult, ShardedGateway
 from repro.serve.guardrails import (GuardrailPolicy, validate_candidate,
                                     validate_shard_slice)
-from repro.serve.load import LoadReport, run_load
 from repro.serve.merge import merge_page_entries, merge_top_entries
 from repro.serve.service import IngestReport, RankingService
 from repro.serve.shard import (InlineShardHandle, ProcessShardHandle,
@@ -38,12 +37,10 @@ __all__ = [
     "validate_shard_slice",
     "IngestReport",
     "InlineShardHandle",
-    "LoadReport",
     "merge_page_entries",
     "merge_top_entries",
     "ProcessShardHandle",
     "RankingService",
-    "run_load",
     "ShardConfig",
     "ShardedGateway",
     "ShardServer",

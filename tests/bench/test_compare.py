@@ -129,6 +129,30 @@ class TestHardPrefix:
                              "--hard-prefix", "metrics/bytes_"]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
+    def test_renamed_hard_key_is_fatal(self, tmp_path, capsys):
+        # The candidate reports 7 mismatches under a new name: the gate
+        # on the old name must not pass just because it compares nothing.
+        base = tmp_path / "base.json"
+        cand = tmp_path / "cand.json"
+        base.write_text(json.dumps(_report(
+            metrics={"merge_mismatches": 0, "queries_total": 100})))
+        cand.write_text(json.dumps(_report(
+            metrics={"merge_mismatch_count": 7, "queries_total": 100})))
+        assert compare.main([str(base), str(cand), "--hard-prefix",
+                             "metrics/merge_mismatches"]) == 1
+        err = capsys.readouterr().err
+        assert "metrics/merge_mismatches (missing from the candidate)" \
+            in err
+        assert "metrics/merge_mismatches (matches no shared key)" in err
+        # A prefix that matches nothing on either side gates nothing.
+        assert compare.ungated(_report(metrics={"a": 1}),
+                               _report(metrics={"a": 1}),
+                               ["metrics/b"]) == \
+            ["metrics/b (matches no shared key)"]
+        assert compare.ungated(_report(metrics={"a": 1}),
+                               _report(metrics={"a": 1}),
+                               ["metrics/a"]) == []
+
     def test_split_regressions_without_prefixes_all_hard(self):
         comparison = compare.compare_reports(
             _report(timings={"solve": 1.0}),

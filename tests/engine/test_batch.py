@@ -1,22 +1,6 @@
-"""Batch ranker and solver-comparison tests."""
+"""E4 solver-comparison tests (the helper lives beside its benchmark)."""
 
-
-from repro.core.model import RankerConfig
-from repro.engine.batch import BatchRanker, compare_solvers
-
-
-class TestBatchRanker:
-    def test_run_reports_timings(self, small_dataset):
-        report = BatchRanker().run(small_dataset)
-        assert report.total_seconds > 0
-        stages = report.stage_timings
-        assert stages
-        assert sum(stages.values()) <= report.total_seconds + 0.1
-
-    def test_custom_config(self, small_dataset):
-        report = BatchRanker(RankerConfig(solver="power")).run(
-            small_dataset)
-        assert report.result.diagnostics["twpr_method"] == "power"
+from benchmarks.bench_e4_batch import compare_solvers
 
 
 class TestCompareSolvers:

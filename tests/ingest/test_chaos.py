@@ -1,4 +1,5 @@
-"""Chaos harness: crash-resume exactly-once, full-fault contract runs."""
+"""The ingest drill (a record feed through the pipeline into the
+gateway): crash-resume exactly-once, full-fault contract runs."""
 
 import json
 
@@ -7,11 +8,33 @@ import pytest
 from repro.cli import main
 from repro.data.generator import GeneratorConfig, generate_dataset
 from repro.data.schema import Article, ScholarlyDataset
-from repro.ingest import run_ingest_sim
-from repro.ingest.sim import delivery_diff
+from repro.drill import (RecordFeed, contract_held, delivery_diff, render,
+                         run_drill)
 from repro.resilience import FaultPlan
 
 pytestmark = pytest.mark.ingest
+
+
+class Sim:
+    """One ingest drill's report, read the way these tests ask."""
+
+    def __init__(self, report):
+        self.report = report
+        self.metrics = report.metrics
+        self.status = self.metrics["status"]
+        self.crashed = bool(self.metrics.get("crashed"))
+        self.resumed = bool(self.metrics.get("resumed"))
+        self.contract_held = contract_held(report)
+        self.resume_run = self.metrics["incarnations"][-1]
+
+    def render(self):
+        return render(self.report)
+
+
+def run_ingest_sim(dataset, *, seed, fault_plan=None, workdir=None,
+                   obs=None, **feed):
+    return Sim(run_drill(dataset, RecordFeed(**feed), seed=seed,
+                         fault_plan=fault_plan, workdir=workdir, obs=obs))
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +52,7 @@ class TestContract:
         assert sim.contract_held
         assert sim.metrics["records_lost"] == 0
         assert sim.metrics["duplicates_applied"] == 0
-        assert sim.metrics["bit_identical"] is True
+        assert sim.metrics["bit_identical"] == 1
 
     def test_everything_at_once_holds(self, chaos_dataset, tmp_path):
         sim = run_ingest_sim(
@@ -64,6 +87,25 @@ class TestGrading:
         assert delivery_diff(reference, reference) == (0, 0)
 
 
+class TestQuarantineSummary:
+    def test_summary_counts_every_incarnation(self):
+        # The CI drill: the crash splits the run in two incarnations,
+        # and the summary must cover both and count what parsed.
+        sim = Sim(run_drill(None, RecordFeed(
+            records=80, duplicate_every=7, mangle_every=11, cite_every=5),
+            fault_plan=FaultPlan.of("ingest:crash:1", "partition:tear:0")))
+        assert sim.crashed and sim.contract_held, sim.render()
+        head = sim.metrics["parse_summary"].splitlines()[0]
+        parsed = int(head.split()[1])
+        assert head == (f"parsed {parsed} record(s), quarantined "
+                        f"{sim.metrics['quarantined']}")
+        assert sim.metrics["quarantined"] == 8
+        # Parsed records are counted (the resume re-parses the ones it
+        # replays, so both incarnations add to the total).
+        assert parsed > 0
+        assert f"# quarantine: {head}" in sim.render()
+
+
 class TestCrashResume:
     def test_mid_batch_kill_is_exactly_once(self, chaos_dataset):
         """Satellite: kill the worker mid-batch, resume from the
@@ -74,12 +116,12 @@ class TestCrashResume:
                              fault_plan=FaultPlan.of("ingest:crash:1"))
         assert sim.crashed and sim.resumed
         # The resumed run replayed the journal tail...
-        assert sim.resume_pipeline.records_replayed > 0
+        assert sim.resume_run["records_replayed"] > 0
         # ...and exactly-once held: nothing lost, nothing applied twice,
         # final ranking identical to the fault-free single-batch run.
         assert sim.metrics["records_lost"] == 0
         assert sim.metrics["duplicates_applied"] == 0
-        assert sim.metrics["bit_identical"] is True
+        assert sim.metrics["bit_identical"] == 1
         assert sim.contract_held, sim.render()
 
     def test_crash_before_first_checkpoint(self, chaos_dataset):
@@ -102,9 +144,9 @@ class TestCrashResume:
                              fault_plan=FaultPlan.of("ingest:crash:2"),
                              checkpoint_batches=3)
         assert sim.crashed and sim.resumed
-        assert sim.resume_pipeline.records_replayed > 0
-        assert (sim.resume_pipeline.records_replayed
-                + sim.resume_pipeline.records_pulled) == 60
+        assert sim.resume_run["records_replayed"] > 0
+        assert (sim.resume_run["records_replayed"]
+                + sim.resume_run["records_pulled"]) == 60
         assert sim.contract_held, sim.render()
 
     def test_torn_journal_tail_is_absorbed(self, chaos_dataset):
@@ -171,7 +213,7 @@ class TestPartitionedChaos:
         assert sim.contract_held, sim.render()
         assert sim.metrics["records_lost"] == 0
         assert sim.metrics["duplicates_applied"] == 0
-        assert sim.metrics["bit_identical"] is True
+        assert sim.metrics["bit_identical"] == 1
         assert sim.metrics["partitions"] == 4
         assert sim.metrics["worker_crashes"] == 2
         assert sim.metrics["segments_archived"] > 0
@@ -189,7 +231,7 @@ class TestPartitionedChaos:
             workdir=tmp_path / "sim")
         assert sim.crashed and sim.resumed
         assert sim.contract_held, sim.render()
-        assert sim.metrics["bit_identical"] is True
+        assert sim.metrics["bit_identical"] == 1
 
     def test_per_partition_metrics_exported(self, chaos_dataset):
         sim = run_ingest_sim(chaos_dataset, records=40, seed=14,
@@ -203,18 +245,18 @@ class TestPartitionedChaos:
 class TestCli:
     def test_ingest_sim_command(self, tmp_path, capsys):
         json_path = tmp_path / "sim.json"
-        report_path = tmp_path / "report.json"
         assert main(["ingest-sim", "--records", "40", "--seed", "1",
                      "--duplicate-every", "8", "--fault", "ingest:crash:1",
-                     "--json", str(json_path),
-                     "--report", str(report_path)]) == 0
+                     "--json", str(json_path)]) == 0
         out = capsys.readouterr().out
         assert "delivery contract: HELD" in out
+        # One artifact: the RunReport that compare.py gates.
         payload = json.loads(json_path.read_text(encoding="utf-8"))
-        assert payload["contract_held"] is True
-        assert payload["crashed"] is True
-        report = json.loads(report_path.read_text(encoding="utf-8"))
-        assert report["metrics"]["records_lost"] == 0
+        assert payload["format_version"] == 2
+        metrics = payload["metrics"]
+        assert metrics["contract_held"] == 1
+        assert metrics["crashed"] == 1
+        assert metrics["records_lost"] == 0
 
     def test_ingest_sim_exit_code_on_bad_dataset(self, tmp_path):
         # A sim that cannot even load its corpus fails loudly.
@@ -235,7 +277,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "delivery contract: HELD" in out
         payload = json.loads(json_path.read_text(encoding="utf-8"))
-        assert payload["contract_held"] is True
+        assert payload["metrics"]["contract_held"] == 1
         assert payload["metrics"]["partitions"] == 4
         assert payload["metrics"]["worker_crashes"] == 1
         assert payload["metrics"]["segments_archived"] > 0
@@ -252,8 +294,8 @@ class TestCli:
         assert main(argv) == 0
         capsys.readouterr()
         payload = json.loads(json_path.read_text(encoding="utf-8"))
-        assert payload["faults"] == specs
-        assert payload["crashed"] is True
+        assert payload["metrics"]["faults"] == specs
+        assert payload["metrics"]["crashed"] == 1
 
     @pytest.mark.parametrize("spec", ["batch:crash:1", "shard:crash:0,1",
                                       "write:crash:3"])

@@ -7,20 +7,22 @@ from repro.data.generator import GeneratorConfig, generate_dataset
 from repro.engine.live import LiveRanker
 from repro.engine.updates import apply_update
 from repro.errors import IngestError
+from repro.drill import (RecordFeed, contract_held, datasets_equal,
+                         delivery_diff, fault_free_reference, render,
+                         run_drill)
 from repro.ingest import (
     Coalescer,
     IngestJournal,
     PartitionedIngestPipeline,
     SyntheticSource,
-    fault_free_reference,
     partition_of,
     partition_route,
     route_key,
-    run_ingest_sim,
 )
 from repro.ingest.partition import Envelope, FanIn
-from repro.ingest.sim import datasets_equal
 from repro.resilience.faults import FaultPlan
+from repro.resilience.policy import RetryPolicy
+from repro.serve import CircuitBreaker, ShardedGateway
 from repro.serve.shard import shard_of
 
 pytestmark = pytest.mark.ingest
@@ -374,15 +376,93 @@ class TestSimAgainstColdOracle:
     @pytest.mark.parametrize("num_partitions", [1, 3])
     def test_poison_crash_and_tear_hold(self, base_dataset, tmp_path,
                                         num_partitions):
-        sim = run_ingest_sim(
-            base_dataset, records=80, seed=3, duplicate_every=7,
-            mangle_every=11, cite_every=5, partitions=num_partitions,
+        report = run_drill(
+            base_dataset, RecordFeed(
+                records=80, duplicate_every=7, mangle_every=11,
+                cite_every=5, partitions=num_partitions),
+            seed=3, workdir=tmp_path / "sim",
             fault_plan=FaultPlan.of("parse:crash:40x10", "ingest:crash:1",
-                                    "partition:tear:0"),
-            workdir=tmp_path / "sim")
-        assert sim.crashed and sim.resumed
-        assert sim.contract_held, sim.render()
-        assert sim.metrics["partitions"] == num_partitions
+                                    "partition:tear:0"))
+        assert report.metrics["crashed"] and report.metrics["resumed"]
+        assert contract_held(report), render(report)
+        assert report.metrics["partitions"] == num_partitions
+
+    def test_serving_and_coordinator_crashes_hold(self, base_dataset,
+                                                  tmp_path):
+        # Records through K=2 partitions into the gateway: the serving
+        # tier's update path crashes applying batch 1 (retried and
+        # published), the coordinator dies cutting its third batch and
+        # resumes behind a rebuilt gateway — whose batch 1 crashes too.
+        report = run_drill(
+            base_dataset, RecordFeed(
+                records=90, duplicate_every=7, mangle_every=11,
+                cite_every=5, partitions=2),
+            seed=5, workdir=tmp_path / "sim",
+            fault_plan=FaultPlan.of("batch:crash:1", "ingest:crash:2"))
+        metrics = report.metrics
+        assert metrics["crashed"] == 1 and metrics["resumed"] == 1
+        assert [t["phase"] for t in metrics["timeline"]].count(
+            "resume") == 1
+        assert metrics["health"]["service"]["update_failures_total"] >= 1
+        assert metrics["records_lost"] == 0
+        assert metrics["duplicates_applied"] == 0
+        assert metrics["bit_identical"] == 1
+        assert metrics["merge_mismatches"] == 0
+        assert contract_held(report), render(report)
+
+
+class TestSinkBacklog:
+    """A sink that defers a batch (breaker open) has not applied it: no
+    cursor may commit past its records, or a crash loses them."""
+
+    def test_deferred_batches_survive_a_crash(self, tmp_path):
+        dataset = generate_dataset(GeneratorConfig(
+            num_articles=120, num_venues=6, num_authors=40,
+            start_year=2000, end_year=2015, seed=11))
+        source = SyntheticSource(sorted(dataset.articles), 80, seed=0)
+        live = LiveRanker(dataset, checkpoint_dir=tmp_path / "ckpt")
+        gateway = ShardedGateway(
+            live, 1, mode="inline", fault_plan=FaultPlan.of(
+                "batch:crash:1"),
+            breaker=CircuitBreaker(1, cooldown=RetryPolicy(
+                max_retries=10, base_delay=60.0, max_delay=60.0,
+                jitter=0.0)))
+
+        def knobs():
+            return dict(coalescer=Coalescer(min_batch=8, max_batch=8),
+                        checkpoint_batches=1)
+
+        first = PartitionedIngestPipeline(
+            live, source, tmp_path / "journal", 1, sink=gateway, **knobs())
+        report = first.run(max_records=40)
+        # Batch 0 published; batch 1 crashed and opened the breaker, so
+        # it and the three after it wait in the gateway's backlog.
+        assert gateway.service.batches_behind() == 4
+        assert report.batches_applied == live.batches_applied == 1
+        assert report.articles_applied == 8
+        assert first.workers[0].journal.committed == 8
+        # Drop the process with the backlog in memory, then resume.
+        gateway.close()
+        for worker in first.workers:
+            worker.journal.close()
+        resumed = PartitionedIngestPipeline.resume(
+            tmp_path / "ckpt", tmp_path / "journal", source, 1, **knobs())
+        assert resumed.run().records_replayed == 32
+        for worker in resumed.workers:
+            worker.journal.close()
+        reference = apply_update(dataset,
+                                 fault_free_reference(source, dataset))
+        assert delivery_diff(resumed.live.dataset, reference) == (0, 0)
+
+    def test_parsed_records_are_counted(self, base_dataset, tmp_path):
+        source = chaos_source(base_dataset, records=40)
+        pipeline, report = run_partitioned(base_dataset, source,
+                                           tmp_path, 2)
+        for worker in pipeline.workers:
+            worker.journal.close()
+        parse = report.parse_report
+        assert parse.records_ok > 0
+        assert parse.records_ok + parse.quarantined >= 40
 
 
 class TestValidation:

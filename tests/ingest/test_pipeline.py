@@ -7,13 +7,8 @@ import pytest
 from repro.data.generator import GeneratorConfig, generate_dataset
 from repro.engine.live import LiveRanker
 from repro.engine.updates import apply_update
-from repro.ingest import (
-    Coalescer,
-    PartitionedIngestPipeline,
-    SyntheticSource,
-    fault_free_reference,
-)
-from repro.ingest.sim import datasets_equal
+from repro.drill import datasets_equal, fault_free_reference
+from repro.ingest import Coalescer, PartitionedIngestPipeline, SyntheticSource
 from repro.resilience.faults import FaultPlan
 
 pytestmark = pytest.mark.ingest

@@ -13,6 +13,7 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.slo import (
     SLOMonitor,
     SLOSpec,
+    SLOStatus,
     default_slos,
     render_slo_table,
 )
@@ -245,6 +246,18 @@ class TestRendering:
         payload = status.as_dict()
         assert payload["name"] == "availability"
         assert set(payload["burn_rates"]) == {"60.0", "300.0"}
+
+    def test_status_from_dict_round_trips(self):
+        registry = MetricsRegistry()
+        monitor = SLOMonitor(registry, specs=[_ratio_spec()],
+                             clock=FakeClock())
+        (status,) = monitor.tick()
+        assert SLOStatus.from_dict(status.as_dict()) == status
+        # A bundle written by an older build may lack fields.
+        sparse = SLOStatus.from_dict({"name": "x", "breaching": True,
+                                      "burn_rates": {"60.0": "inf"}})
+        assert sparse.breaching and sparse.kind == "?"
+        assert sparse.burn_rates == {60.0: float("inf")}
 
 
 @pytest.mark.serve

@@ -9,14 +9,15 @@ poisoned batch must land in quarantine with a usable report.
 """
 
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
 
+from repro.drill import arrival_batches
 from repro.engine.live import LiveRanker
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.serve import CircuitBreaker, RankingService
-from repro.serve.load import synthetic_batch
 
 pytestmark = [pytest.mark.serve, pytest.mark.faults]
 
@@ -42,15 +43,8 @@ def stream(small_dataset):
     # reference articles/authors the service never ingested (yearly
     # cohorts DO cross-reference, which would re-trip the breaker
     # during recovery and muddy the scenario under test).
-    base_ids = sorted(small_dataset.articles)
-    next_id = base_ids[-1] + 1
-    _, year = small_dataset.year_range()
-    rng = random.Random(7)
-    batches = []
-    for _ in range(4):
-        batches.append(synthetic_batch(base_ids, next_id, 25, year, rng))
-        next_id += 25
-    return small_dataset, batches
+    return small_dataset, list(islice(
+        arrival_batches(small_dataset, 25, random.Random(7)), 4))
 
 
 @pytest.fixture(scope="module")

@@ -9,19 +9,20 @@ other shard stays fresh.
 """
 
 import random
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError, NodeNotFoundError, ServeError
 from repro.data.generator import GeneratorConfig, generate_dataset
+from repro.drill import arrival_batches
 from repro.engine.live import LiveRanker
 from repro.obs import Observability
 from repro.query import RankIndex
 from repro.resilience import (WORKER_CRASH_EXIT_CODE, FaultPlan,
                               RetryPolicy)
 from repro.serve import ShardedGateway
-from repro.serve.load import synthetic_batch
 
 pytestmark = pytest.mark.serve
 
@@ -51,13 +52,8 @@ def single_index(gateway):
 
 
 def feed(gateway, dataset, batches, batch_size=12, seed=0):
-    rng = random.Random(seed)
-    base_ids = sorted(dataset.articles)
-    next_id = base_ids[-1] + 1
-    _, year = dataset.year_range()
-    for _ in range(batches):
-        batch = synthetic_batch(base_ids, next_id, batch_size, year, rng)
-        next_id += batch_size
+    for batch in islice(arrival_batches(dataset, batch_size,
+                                        random.Random(seed)), batches):
         gateway.ingest(batch)
 
 
@@ -176,16 +172,12 @@ class TestWorkCount:
         """One counter per shard for the current board epoch; it used
         to keep one per shard per publish, forever."""
         plan = FaultPlan.of("shard:poison:1,20")
-        rng = random.Random(0)
-        base_ids = sorted(gateway_dataset.articles)
-        _, year = gateway_dataset.year_range()
+        arrivals = arrival_batches(gateway_dataset, 2, random.Random(0))
         with make_gateway(gateway_dataset, num_shards=3,
                           fault_plan=plan,
                           auto_respawn=False) as gateway:
             for publish in range(50):
-                gateway.ingest(synthetic_batch(
-                    base_ids, base_ids[-1] + 1 + 2 * publish, 2, year,
-                    rng))
+                gateway.ingest(next(arrivals))
                 assert gateway.board_epoch == publish + 1
                 assert len(gateway._refresh_attempts) <= 3
                 if gateway.board_epoch == 20:
